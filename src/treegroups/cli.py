@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 for success / equal / all checks passed, 1 for unequal or any
-failed check, 2 for usage or parse errors.  Results go to stdout,
-diagnostics to stderr.
+failed check, 2 for usage or parse errors and for input nested too deeply
+to evaluate.  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ def run(argv) -> int:
         return _dispatch(args, second_word)
     except TermError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

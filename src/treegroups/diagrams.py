@@ -2,11 +2,14 @@
 
 A tree is a nested tuple: the empty tuple is a leaf, an internal node is a
 tuple of exactly n subtrees (the arity travels alongside, not in the value).
+Every operation here works on that one form by structural recursion.
 A diagram is a triple (domain tree, range tree, perm) with equal leaf
 counts, perm sending the i-th domain leaf (in left-to-right order) to the
 perm[i]-th range leaf.  Diagrams modulo common expansion form a group; the
 canonical representative is the reduced diagram, obtained by collapsing
-matched caret pairs until none remain.
+matched caret pairs until none remain.  Two diagrams multiply by growing
+each factor, in one pass, until the first range and the second domain are
+both their minimal common expansion.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -16,9 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .terms import Term, TermError, Var, occurrences, underlying_list
+from .terms import Term, TermError, Var, is_linear_pair, underlying_list
 from .operators import EMPTY, Operator
 
 LEAF = ()
@@ -32,7 +34,6 @@ def caret(n: int):
     return (LEAF,) * n
 
 
-@lru_cache(maxsize=None)
 def leaves(tree) -> tuple:
     """Leaf addresses in lexicographic (left-to-right) order."""
     if is_leaf(tree):
@@ -44,29 +45,9 @@ def leaves(tree) -> tuple:
 
 
 def leaf_count(tree) -> int:
-    return len(leaves(tree))
-
-
-@lru_cache(maxsize=None)
-def internal_addresses(tree) -> frozenset:
     if is_leaf(tree):
-        return frozenset()
-    out = {()}
-    for k, child in enumerate(tree, start=1):
-        out.update((k,) + addr for addr in internal_addresses(child))
-    return frozenset(out)
-
-
-def tree_from_internal(addresses, n: int):
-    """The tree whose internal nodes are exactly the given prefix-closed set."""
-    addresses = frozenset(addresses)
-
-    def build(prefix):
-        if prefix not in addresses:
-            return LEAF
-        return tuple(build(prefix + (k,)) for k in range(1, n + 1))
-
-    return build(())
+        return 1
+    return sum(leaf_count(child) for child in tree)
 
 
 def replace_node(tree, address, new):
@@ -87,22 +68,39 @@ def expand(tree, leaf_index: int, n: int):
 
 
 def is_expansion_of(big, small) -> bool:
-    return internal_addresses(small) <= internal_addresses(big)
+    if is_leaf(small):
+        return True
+    if is_leaf(big):
+        return False
+    return all(is_expansion_of(b, s) for b, s in zip(big, small))
 
 
 def minimal_common_expansion(t1, t2, n: int):
-    """The join: internal-address sets united.  It expands both arguments,
-    and every common expansion expands it."""
-    return tree_from_internal(internal_addresses(t1) | internal_addresses(t2), n)
+    """The join of two arity-n trees: a leaf gives the other tree, two
+    internal nodes join child by child.  It expands both arguments, and
+    every common expansion expands it."""
+    if t1 == t2 or is_leaf(t2):
+        return t1
+    if is_leaf(t1):
+        return t2
+    return tuple(minimal_common_expansion(a, b, n) for a, b in zip(t1, t2))
 
 
-def _check_tree(tree, n: int) -> None:
-    if is_leaf(tree):
-        return
-    if len(tree) != n:
-        raise TermError(f"node with {len(tree)} children in an arity-{n} tree")
-    for child in tree:
-        _check_tree(child, n)
+def _checked_leaf_count(tree, n: int) -> int:
+    """Leaf count of a tree, raising unless every node is a tuple with 0 or
+    n children."""
+    count, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, tuple):
+            raise TermError(f"tree node of type {type(node).__name__}, not a tuple")
+        if not node:
+            count += 1
+        elif len(node) == n:
+            stack.extend(node)
+        else:
+            raise TermError(f"node with {len(node)} children in an arity-{n} tree")
+    return count
 
 
 @dataclass(frozen=True)
@@ -115,10 +113,8 @@ class TreeDiagram:
     perm: tuple
 
     def __post_init__(self):
-        _check_tree(self.domain, self.n)
-        _check_tree(self.range, self.n)
-        m = leaf_count(self.domain)
-        if leaf_count(self.range) != m:
+        m = _checked_leaf_count(self.domain, self.n)
+        if _checked_leaf_count(self.range, self.n) != m:
             raise TermError("domain and range leaf counts differ")
         if sorted(self.perm) != list(range(1, m + 1)):
             raise TermError("perm is not a bijection on the leaf indices")
@@ -128,29 +124,61 @@ def identity_diagram(n: int) -> TreeDiagram:
     return TreeDiagram(n, LEAF, LEAF, (1,))
 
 
+def _inverse(perm) -> tuple:
+    out = [0] * len(perm)
+    for i, y in enumerate(perm, start=1):
+        out[y - 1] = i
+    return tuple(out)
+
+
+def _hanging(old, new, out: list) -> None:
+    """Append the subtree of `new` hanging at each leaf of `old`, in leaf
+    order; `new` must expand `old`."""
+    if is_leaf(old):
+        out.append(new)
+        return
+    for a, b in zip(old, new):
+        _hanging(a, b, out)
+
+
+def _graft(node, grafts):
+    """`node` with its leaves replaced, left to right, by the trees that the
+    iterator `grafts` yields."""
+    if is_leaf(node):
+        return next(grafts)
+    return tuple(_graft(child, grafts) for child in node)
+
+
+def _grow(partner, pairing, old, new):
+    """Grow `partner` alongside its paired tree's growth from `old` to `new`.
+
+    pairing[j - 1] is the partner leaf paired with leaf j of `old`.  The
+    subtree of `new` hanging at leaf j is grafted onto that partner leaf,
+    and the new leaves pair up in child order.  Returns the grown partner
+    and the pairing of the leaves of `new` with its leaves.
+    """
+    if new == old:
+        return partner, pairing
+    hanging: list = []
+    _hanging(old, new, hanging)
+    grafts = [LEAF] * len(pairing)
+    for j, k in enumerate(pairing):
+        grafts[k - 1] = hanging[j]
+    first = [1]  # first[k - 1]: the first grown leaf under partner leaf k
+    for tree in grafts:
+        first.append(first[-1] + leaf_count(tree))
+    grown_pairing = []
+    for k in pairing:
+        grown_pairing.extend(range(first[k - 1], first[k]))
+    return _graft(partner, iter(grafts)), tuple(grown_pairing)
+
+
 def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
     """Simple expansion: caret the domain leaf and its partner, splicing the
     n new leaf pairs in child order."""
-    n = d.n
-    m = leaf_count(d.domain)
-    if not 1 <= leaf_index <= m:
-        raise TermError(f"leaf index {leaf_index} out of range")
-    partner = d.perm[leaf_index - 1]
-    domain = expand(d.domain, leaf_index, n)
-    range_ = expand(d.range, partner, n)
-
-    def shift(y: int) -> int:
-        return y if y < partner else y + n - 1
-
-    perm = []
-    for i in range(1, m + n):
-        if i < leaf_index:
-            perm.append(shift(d.perm[i - 1]))
-        elif i <= leaf_index + n - 1:
-            perm.append(partner + (i - leaf_index))
-        else:
-            perm.append(shift(d.perm[i - n]))
-    return TreeDiagram(n, domain, range_, tuple(perm))
+    domain = expand(d.domain, leaf_index, d.n)
+    range_, perm = _grow(d.range, d.perm, d.domain, domain)
+    return TreeDiagram(d.n, domain, range_, perm)
 
 
 def _carets(tree) -> list:
@@ -176,21 +204,12 @@ def reducible_pairs(d: TreeDiagram) -> list:
     """Collapsible caret pairs as (domain address, domain first-leaf index,
     range parent address), ordered by domain leaf index."""
     n = d.n
-    range_leaves = leaves(d.range)
+    range_carets = {first: addr for addr, first in _carets(d.range)}
     out = []
     for addr, j in _carets(d.domain):
         k = d.perm[j - 1]
-        if any(d.perm[j - 1 + i] != k + i for i in range(n)):
-            continue
-        first = range_leaves[k - 1]
-        if not first or first[-1] != 1:
-            continue
-        parent = first[:-1]
-        if all(
-            k - 1 + i < len(range_leaves) and range_leaves[k - 1 + i] == parent + (i + 1,)
-            for i in range(n)
-        ):
-            out.append((addr, j, parent))
+        if k in range_carets and all(d.perm[j - 1 + i] == k + i for i in range(1, n)):
+            out.append((addr, j, range_carets[k]))
     return out
 
 
@@ -200,7 +219,7 @@ def is_reduced(d: TreeDiagram) -> bool:
 
 def _collapse(d: TreeDiagram, dom_addr, j: int, range_parent) -> TreeDiagram:
     n = d.n
-    m = leaf_count(d.domain)
+    m = len(d.perm)
     k = d.perm[j - 1]
     domain = replace_node(d.domain, dom_addr, LEAF)
     range_ = replace_node(d.range, range_parent, LEAF)
@@ -219,52 +238,38 @@ def _collapse(d: TreeDiagram, dom_addr, j: int, range_parent) -> TreeDiagram:
     return TreeDiagram(n, domain, range_, tuple(perm))
 
 
-def reduce(d: TreeDiagram, order=None) -> TreeDiagram:
+def reduce(d: TreeDiagram) -> TreeDiagram:
     """Collapse matched caret pairs to the fixpoint.
 
-    The scan collapses the pair with the lowest domain leaf index first (an
-    `order` callable may pick differently from the reducible list); the
-    endpoint does not depend on the choice, which the test suite checks by
-    exhausting all orders on small diagrams.
+    The scan collapses the pair with the lowest domain leaf index first.
+    The endpoint does not depend on that choice: the test suite collapses
+    the `reducible_pairs` in every order (via `_collapse`) on small
+    diagrams and finds one endpoint.
     """
     while True:
         pairs = reducible_pairs(d)
         if not pairs:
             return d
-        choice = pairs[0] if order is None else order(pairs)
-        d = _collapse(d, *choice)
+        d = _collapse(d, *pairs[0])
 
 
 def invert_diagram(d: TreeDiagram) -> TreeDiagram:
-    inverse = [0] * len(d.perm)
-    for i, y in enumerate(d.perm, start=1):
-        inverse[y - 1] = i
-    return reduce(TreeDiagram(d.n, d.range, d.domain, tuple(inverse)))
+    return reduce(TreeDiagram(d.n, d.range, d.domain, _inverse(d.perm)))
 
 
 def multiply(d1: TreeDiagram, d2: TreeDiagram) -> TreeDiagram:
     """The diagram "d1 followed by d2", reduced.
 
-    Both factors expand until d1's range equals d2's domain equals the
-    minimal common expansion; the permutations then compose.
+    d1 grows along its range and d2 along its domain, each in one pass, to
+    the minimal common expansion of the two; the permutations then compose.
     """
     if d1.n != d2.n:
         raise TermError("cannot multiply diagrams of different arity")
     middle = minimal_common_expansion(d1.range, d2.domain, d1.n)
-    interior = internal_addresses(middle)
-    while d1.range != middle:
-        target = next(
-            i for i, addr in enumerate(leaves(d1.range), start=1) if addr in interior
-        )
-        source = d1.perm.index(target) + 1
-        d1 = expand_diagram(d1, source)
-    while d2.domain != middle:
-        index = next(
-            i for i, addr in enumerate(leaves(d2.domain), start=1) if addr in interior
-        )
-        d2 = expand_diagram(d2, index)
-    perm = tuple(d2.perm[d1.perm[i] - 1] for i in range(len(d1.perm)))
-    return reduce(TreeDiagram(d1.n, d1.domain, d2.range, perm))
+    domain, middle_to_domain = _grow(d1.domain, _inverse(d1.perm), d1.range, middle)
+    range_, middle_to_range = _grow(d2.range, d2.perm, d2.domain, middle)
+    perm = tuple(middle_to_range[i - 1] for i in _inverse(middle_to_domain))
+    return reduce(TreeDiagram(d1.n, domain, range_, perm))
 
 
 def diagram_power(d: TreeDiagram, exponent: int) -> TreeDiagram:
@@ -300,10 +305,7 @@ def to_diagram(op: Operator, n: int) -> TreeDiagram:
     """
     if op is EMPTY:
         raise TermError("the empty operator has no diagram")
-    src_occ, tgt_occ = occurrences(op.source), occurrences(op.target)
-    if set(src_occ) != set(tgt_occ) or any(
-        v != 1 for v in (*src_occ.values(), *tgt_occ.values())
-    ):
+    if not is_linear_pair(op.source, op.target):
         raise TermError("diagrams need balanced linear seeds")
     src_word = underlying_list(op.source)
     tgt_pos = {name: k for k, name in enumerate(underlying_list(op.target), start=1)}
@@ -337,6 +339,8 @@ def _tree_to_json(tree):
 def _tree_from_json(value):
     if value == 0:
         return LEAF
+    if not isinstance(value, list):
+        raise TermError(f"a JSON tree is 0 or a list of trees, not {type(value).__name__}")
     return tuple(_tree_from_json(c) for c in value)
 
 
@@ -354,11 +358,16 @@ def to_json(d: TreeDiagram) -> str:
 
 
 def from_json_dict(data: dict) -> TreeDiagram:
+    """The diagram of a JSON object; malformed input raises TermError."""
+    if not isinstance(data, dict) or not {"n", "domain", "range", "perm"} <= data.keys():
+        raise TermError("a JSON diagram needs the keys n, domain, range and perm")
+    n, perm = data["n"], data["perm"]
+    if not isinstance(n, int) or not isinstance(perm, list):
+        raise TermError("a JSON diagram needs an integer n and a list perm")
+    if not all(isinstance(y, int) for y in perm):
+        raise TermError("a JSON diagram's perm lists integers")
     return TreeDiagram(
-        data["n"],
-        _tree_from_json(data["domain"]),
-        _tree_from_json(data["range"]),
-        tuple(data["perm"]),
+        n, _tree_from_json(data["domain"]), _tree_from_json(data["range"]), tuple(perm)
     )
 
 

@@ -34,6 +34,7 @@ from .terms import (
     replace,
     subterm,
     underlying_list,
+    variables_in_order,
 )
 from .unify import match, mgu
 
@@ -91,30 +92,13 @@ class Seed:
 Operator = Seed | _Empty
 
 
-def _first_occurrence_vars(t: Term) -> list:
-    out: list = []
-    seen: set = set()
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                out.append(u.name)
-            return
-        for c in u.children:
-            walk(c)
-
-    walk(t)
-    return out
-
-
 def canonical(seed: Seed) -> Seed:
     """Rename variables to x1, x2, ... by first occurrence in the source.
 
     Operator equality is syntactic equality of canonical seeds.
     """
-    order = _first_occurrence_vars(seed.source)
-    extra = [v for v in _first_occurrence_vars(seed.target) if v not in order]
+    order = variables_in_order(seed.source)
+    extra = [v for v in variables_in_order(seed.target) if v not in order]
     if extra:
         raise TermError(f"seed target has variables outside the source: {extra}")
     renaming = {name: Var(f"x{k}") for k, name in enumerate(order, start=1)}

@@ -117,19 +117,6 @@ def cat(*children: Term) -> App:
     return App(CAT, tuple(children))
 
 
-def check_term(t: Term, signature: Signature) -> None:
-    """Raise unless every node's child count equals its symbol's arity."""
-    if isinstance(t, Var):
-        return
-    if len(t.children) != signature.arity(t.symbol):
-        raise TermError(
-            f"symbol {t.symbol!r} applied to {len(t.children)} arguments, "
-            f"expected {signature.arity(t.symbol)}"
-        )
-    for c in t.children:
-        check_term(c, signature)
-
-
 # ---------------------------------------------------------------------------
 # Addresses and subterm access
 
@@ -227,6 +214,24 @@ def occurrences(t: Term) -> Counter:
     out: Counter = Counter()
     for c in t.children:
         out += occurrences(c)
+    return out
+
+
+def variables_in_order(t: Term) -> list:
+    """Variable names of t, each once, in order of first occurrence."""
+    out: list = []
+    seen: set = set()
+
+    def walk(u: Term) -> None:
+        if isinstance(u, Var):
+            if u.name not in seen:
+                seen.add(u.name)
+                out.append(u.name)
+            return
+        for c in u.children:
+            walk(c)
+
+    walk(t)
     return out
 
 

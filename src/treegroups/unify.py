@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Term, Var, apply_subst, support
+from .terms import App, Term, Var, apply_subst, support, variables_in_order
 
 # Internal namespaces used while the two sides share one variable space.
 # The marker byte cannot appear in parsed identifiers.
@@ -109,23 +109,6 @@ def _prefix_vars(t: Term, prefix: str) -> Term:
     return App(t.symbol, tuple(_prefix_vars(c, prefix) for c in t.children))
 
 
-def _vars_in_order(t: Term) -> list:
-    out: list = []
-    seen: set = set()
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                out.append(u.name)
-            return
-        for c in u.children:
-            walk(c)
-
-    walk(t)
-    return out
-
-
 def mgu(t1: Term, s2: Term) -> UnifierPair | None:
     """Most general unifier of t1 and s2 after renaming the sides apart.
 
@@ -161,7 +144,7 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
 
     remap: dict = {}
     used: set = set()
-    for internal in _vars_in_order(common):
+    for internal in variables_in_order(common):
         base = internal[len(_L) :]
         if base not in used and keeps_base(internal, base):
             candidate = base
@@ -176,7 +159,7 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
 
     def out_subst(prefix: str, source: Term) -> dict:
         result = {}
-        for name in _vars_in_order(source):
+        for name in variables_in_order(source):
             term = apply_subst(solved(prefix, name), remap)
             if term != Var(name):
                 result[name] = term

@@ -109,6 +109,20 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_deep_address_exit_code(capsys):
+    address = ".".join(["1"] * 1200)
+    code, out, err = invoke(
+        capsys, "word", "eval", "--n", "2", "--theory", "c", f"a1[{address}]"
+    )
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+def test_deep_term_exit_code(capsys):
+    term = "(x " * 1500 + "y" + ")" * 1500
+    code, out, err = invoke(capsys, "term", "rank", "--n", "2", term)
+    assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
 def test_check_moore(capsys):
     code, out, _ = invoke(capsys, "check", "moore", "--n", "3")
     assert code == 0

@@ -34,6 +34,7 @@ from treegroups.coherence import (
     positive_paths,
     relation_instances,
     substitute_once,
+    theory_for,
     three_cycle,
     twist_diagram,
     word_operator,
@@ -179,21 +180,28 @@ def test_eval_diagram_examples():
 
 def test_eval_diagram_is_fold_of_multiply():
     rng = random.Random(41)
-    sc3 = symmetric_catalan_theory(3)
-    pool = [
-        Generator(kind, idx, sign, addr)
-        for kind in "as"
-        for idx in (1, 2)
-        for sign in (1, -1)
-        for addr in [(), (1,), (3,), (2, 2)]
-    ]
-    for _ in range(60):
-        word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 4)))
-        direct = eval_diagram(word, 3, "sc")
-        folded = identity_diagram(3)
-        for g in word:
-            folded = multiply(folded, to_diagram(word_operator((g,), sc3), 3))
-        assert direct == folded
+    for n in (2, 3, 4):
+        addresses = [
+            addr
+            for depth in range(4)
+            for addr in itertools.product(range(1, n + 1), repeat=depth)
+        ]
+        for theory_name, kinds in (("c", "a"), ("sc", "as")):
+            theory = theory_for(theory_name, n)
+            pool = [
+                Generator(kind, idx, sign, addr)
+                for kind in kinds
+                for idx in range(1, n)
+                for sign in (1, -1)
+                for addr in addresses
+            ]
+            for _ in range(8):
+                word = tuple(rng.choice(pool) for _ in range(rng.randint(0, 24)))
+                direct = eval_diagram(word, n, theory_name)
+                folded = identity_diagram(n)
+                for g in word:
+                    folded = multiply(folded, to_diagram(word_operator((g,), theory), n))
+                assert direct == folded
 
 
 def test_words_equal_examples():

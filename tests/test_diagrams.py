@@ -183,6 +183,11 @@ def test_group_laws_random():
         for _ in range(60):
             a, b, c = rng.choice(pool), rng.choice(pool), rng.choice(pool)
             assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+            # unreduced factors, as from_json_dict can pass them
+            i = rng.randint(1, leaf_count(a.domain))
+            assert multiply(expand_diagram(a, i), b) == multiply(a, b)
+            j = rng.randint(1, leaf_count(b.domain))
+            assert multiply(a, expand_diagram(b, j)) == multiply(a, b)
 
 
 def test_is_order_preserving():
@@ -255,3 +260,10 @@ def test_diagram_validation():
         TreeDiagram(2, caret(2), caret(2), (1, 1))
     with pytest.raises(TermError):
         TreeDiagram(3, caret(2), caret(2), (1, 2))
+    for data in (
+        {},
+        {"n": 2, "domain": 0, "range": 0},
+        {"n": 2, "domain": 5, "range": 0, "perm": [1]},
+    ):
+        with pytest.raises(TermError):
+            from_json_dict(data)
