@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 for success / equal / all checks passed, 1 for unequal or any
-failed check, 2 for usage or parse errors and for input nested too deeply
-to evaluate.  Results go to stdout, diagnostics to stderr.
+failed check, 2 for usage or parse errors, for input nested too deeply to
+evaluate, and for a check suite that would check nothing (n < 2 or a
+negative bound).  Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations

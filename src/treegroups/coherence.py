@@ -174,6 +174,14 @@ def _range_check(value: int, low: int, high: int, what: str) -> None:
         raise TermError(f"{what} must lie in [{low}, {high}], got {value}")
 
 
+def _check_size(n: int, bound: int = 0, what: str = "bound") -> None:
+    """Refuse a suite that would check nothing: n < 2 or a negative bound."""
+    if n < 2:
+        raise TermError(f"n must be at least 2, got {n}")
+    if bound < 0:
+        raise TermError(f"{what} must be non-negative, got {bound}")
+
+
 def pentagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
     """Two regroupings at the base equal the roundabout through the nest."""
     _range_check(i, 1, n - 1, "pentagon index")
@@ -300,15 +308,7 @@ _FAMILY_BUILDERS = {
 }
 
 CATALAN_FAMILIES = ("pentagon", "adjacent-assoc")
-SYMMETRIC_FAMILIES = (
-    "pentagon",
-    "adjacent-assoc",
-    "involution",
-    "compatibility",
-    "three-cycle",
-    "hexagon",
-    "dual-hexagon",
-)
+SYMMETRIC_FAMILIES = tuple(_FAMILY_BUILDERS)
 
 
 def base_addresses(n: int, max_len: int):
@@ -332,6 +332,7 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2, families=None):
     Each line carries family, n, indices, base address, and PASS/FAIL; a
     failing instance also reports both reduced diagrams as JSON.
     """
+    _check_size(n, max_addr, "max_addr")
     lines = []
     all_ok = True
     for inst in relation_instances(n, theory_name, max_addr, families):
@@ -478,43 +479,53 @@ def fill_square(t: Term, n: int, m1: Generator, m2: Generator):
 
 
 def check_coherence(n: int, max_nodes: int = 4):
-    """Square filling and positive-path agreement over all terms with up to
-    max_nodes internal nodes; returns (all passed, report lines)."""
+    """Fork closure over all terms with up to max_nodes internal nodes;
+    returns (all passed, report lines).  A line reads PASS when every fork
+    reachable from the term closes and the term's positive paths end at its
+    left comb with one diagram.  By induction on rank that holds when the
+    term's forks close and its successors pass, so each term is visited once
+    and `paths=` sums its successors' counts.
+    """
+    _check_size(n, max_nodes, "max_nodes")
     lines = []
     all_ok = True
     theory = catalan_theory(n)
+    memo = {}
+
+    def visit(t: Term) -> tuple:
+        if t in memo:
+            return memo[t]
+        memo[t] = (False, 0)  # a rule that cycles back to t fails it
+        letters = applicable_positive(t, n)
+        word = underlying_list(t)
+        ok, paths = (True, 0) if letters else (t == lmb(word, n), 1)
+        for m1, m2 in itertools.combinations(letters, 2):
+            w1, w2, family = fill_square(t, n, m1, m2)
+            end = apply_word_to_term(t, (m1,) + w1, theory)
+            ok = (
+                ok
+                and family in ("functoriality", "naturality") + CATALAN_FAMILIES
+                and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
+                and end is not None
+                and end == apply_word_to_term(t, (m2,) + w2, theory)
+                and words_equal((m1,) + w1, (m2,) + w2, n, "c")
+            )
+        for g in letters:
+            successor = apply_generator(t, g, theory)
+            passed, count = (False, 0) if successor is None else visit(successor)
+            ok = ok and passed and underlying_list(successor) == word
+            paths += count
+        memo[t] = (ok, paths)
+        return memo[t]
+
     for k in range(max_nodes + 1):
         for t in enumerate_terms(n, k):
-            letters = applicable_positive(t, n)
-            pair_count = 0
-            ok = True
-            for m1, m2 in itertools.combinations(letters, 2):
-                w1, w2, family = fill_square(t, n, m1, m2)
-                pair_count += 1
-                end1 = apply_word_to_term(t, (m1,) + w1, theory)
-                end2 = apply_word_to_term(t, (m2,) + w2, theory)
-                if end1 is None or end1 != end2:
-                    ok = False
-                elif not words_equal((m1,) + w1, (m2,) + w2, n, "c"):
-                    ok = False
-                if family not in (
-                    "functoriality",
-                    "naturality",
-                    "pentagon",
-                    "adjacent-assoc",
-                ):
-                    ok = False
-            paths = positive_paths(t, n)
-            normal = lmb(underlying_list(t), n)
-            endpoints = {apply_word_to_term(t, path, theory) for path in paths}
-            images = {eval_diagram(path, n, "c") for path in paths}
-            if endpoints != {normal} or len(images) != 1:
-                ok = False
+            ok, paths = visit(t)
             all_ok = all_ok and ok
-            status = "PASS" if ok else "FAIL"
             lines.append(
                 f"coherence n={n} term={format_term(t, theory.signature)} "
-                f"pairs={pair_count} paths={len(paths)} {status}"
+                f"pairs={math.comb(len(applicable_positive(t, n)), 2)} "
+                f"paths={paths} {'PASS' if ok else 'FAIL'}"
             )
     return all_ok, lines
 
@@ -537,6 +548,7 @@ def check_moore(n: int):
     as diagram identities, plus (n <= 5) that the generated closure has
     exactly n! elements.  Returns (all passed, report lines).
     """
+    _check_size(n)
     lines = []
     all_ok = True
     one = identity_diagram(n)
@@ -623,7 +635,6 @@ def dual_hexagon_derivation(n: int, i: int):
     push("involution: s%d = s%d^-1" % (i, i), word)
 
     # expand S_i via the hexagon, solved for the inverse twist
-    hexa = hexagon(n, i)
     s_inverse_expansion = free_reduce(
         (A(i),)
         + (S(1, (i,)),)

@@ -113,6 +113,8 @@ class TreeDiagram:
     perm: tuple
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 2:
+            raise TermError(f"diagram arity must be an integer >= 2, not {self.n!r}")
         m = _checked_leaf_count(self.domain, self.n)
         if _checked_leaf_count(self.range, self.n) != m:
             raise TermError("domain and range leaf counts differ")
@@ -337,7 +339,7 @@ def _tree_to_json(tree):
 
 
 def _tree_from_json(value):
-    if value == 0:
+    if value == 0 and type(value) is int:
         return LEAF
     if not isinstance(value, list):
         raise TermError(f"a JSON tree is 0 or a list of trees, not {type(value).__name__}")
@@ -362,13 +364,15 @@ def from_json_dict(data: dict) -> TreeDiagram:
     if not isinstance(data, dict) or not {"n", "domain", "range", "perm"} <= data.keys():
         raise TermError("a JSON diagram needs the keys n, domain, range and perm")
     n, perm = data["n"], data["perm"]
-    if not isinstance(n, int) or not isinstance(perm, list):
+    if type(n) is not int or not isinstance(perm, list):
         raise TermError("a JSON diagram needs an integer n and a list perm")
-    if not all(isinstance(y, int) for y in perm):
+    if not all(type(y) is int for y in perm):
         raise TermError("a JSON diagram's perm lists integers")
-    return TreeDiagram(
-        n, _tree_from_json(data["domain"]), _tree_from_json(data["range"]), tuple(perm)
-    )
+    try:
+        domain, range_ = _tree_from_json(data["domain"]), _tree_from_json(data["range"])
+    except RecursionError:
+        raise TermError("a JSON diagram's tree is nested too deeply") from None
+    return TreeDiagram(n, domain, range_, tuple(perm))
 
 
 def _dot_tree(tree, tag: str, lines: list) -> dict:

@@ -13,6 +13,7 @@ from treegroups.terms import (
     apply_assoc,
     assoc_redexes,
     enumerate_terms,
+    format_term,
     generalized_catalan,
     lmb,
     rank,
@@ -45,6 +46,7 @@ from treegroups.coherence import (
     applicable_positive,
     apply_word_to_term,
     check_axioms,
+    check_coherence,
     check_moore,
     eval_diagram,
     fill_square,
@@ -321,12 +323,15 @@ def test_coherence_desk_scale():
     paths_total = 0
     for n in (2, 3):
         theory = catalan_theory(n)
+        expected = []
         for k in range(5):
             for t in enumerate_terms(n, k):
                 letters_here = applicable_positive(t, n)
+                pairs = 0
                 for m1, m2 in itertools.combinations(letters_here, 2):
                     w1, w2, family = fill_square(t, n, m1, m2)
                     squares += 1
+                    pairs += 1
                     ok = ok and family in (
                         "functoriality",
                         "naturality",
@@ -345,6 +350,14 @@ def test_coherence_desk_scale():
                 }
                 images = {eval_diagram(path, n, "c") for path in all_paths}
                 ok = ok and endpoints == {normal} and len(images) == 1
+                expected.append(
+                    f"coherence n={n} term={format_term(t, theory.signature)} "
+                    f"pairs={pairs} paths={len(all_paths)} PASS"
+                )
+        # the check visits each term once; its report must agree with the
+        # enumeration of every path above
+        passed, lines = check_coherence(n, 4)
+        ok = ok and passed and lines == expected
     elapsed = time.perf_counter() - start
     report(
         "coherence-desk-scale",

@@ -1,7 +1,8 @@
 import json
 
+from treegroups import coherence
 from treegroups.cli import run
-from treegroups.terms import catalan_signature, parse_term
+from treegroups.terms import catalan_signature, format_term, parse_term
 
 
 def invoke(capsys, *argv):
@@ -143,6 +144,67 @@ def test_check_coherence(capsys):
     code, out, _ = invoke(capsys, "check", "coherence", "--n", "2", "--max-nodes", "3")
     assert code == 0
     assert out.strip().endswith("all-pass")
+
+
+def test_check_suites_refuse_to_check_nothing(capsys):
+    for argv in (
+        ["check", "axioms", "--n", "1", "--theory", "sc"],
+        ["check", "axioms", "--n", "2", "--theory", "sc", "--max-addr", "-1"],
+        ["check", "coherence", "--n", "2", "--max-nodes", "-1"],
+        ["check", "moore", "--n", "0"],
+        ["check", "moore", "--n", "1"],
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_check_axioms_reports_a_failing_instance(monkeypatch, capsys):
+    def broken_involution(n, i, base=()):
+        # one twist is not the identity
+        lhs = (coherence.S(i, base),)
+        return coherence.RelationInstance("involution", n, (i,), base, lhs, ())
+
+    monkeypatch.setattr(coherence, "involution", broken_involution)
+    code, out, _ = invoke(
+        capsys, "check", "axioms", "--n", "2", "--theory", "sc", "--max-addr", "0"
+    )
+    lines = out.splitlines()
+    at = lines.index("involution n=2 i=1 base=- FAIL")
+    assert lines[at + 1 : at + 3] == [
+        '  lhs={"n":2,"domain":[0,0],"range":[0,0],"perm":[2,1]}',
+        '  rhs={"n":2,"domain":0,"range":0,"perm":[1]}',
+    ]
+    assert "pentagon n=2 i=1 base=- PASS" in lines
+    assert (code, lines[-1]) == (1, "some-fail")
+
+
+def test_check_coherence_reports_a_fork_that_does_not_close(monkeypatch, capsys):
+    sig = catalan_signature(2)
+    forked = parse_term("((x1 x2) (x3 (x4 x5)))", sig)
+    above = parse_term("(x1 (x2 (x3 (x4 x5))))", sig)  # a1[-] leads to forked
+    elsewhere = parse_term("(x1 (x2 (x3 x4)))", sig)
+    real_fill_square = coherence.fill_square
+
+    def wrong_pentagon(t, n, m1, m2):
+        w1, w2, family = real_fill_square(t, n, m1, m2)
+        if t == forked and family == "pentagon":
+            # drop the last letter of the longer closing word
+            w1, w2 = (w1[:-1], w2) if len(w1) > len(w2) else (w1, w2[:-1])
+        return w1, w2, family
+
+    monkeypatch.setattr(coherence, "fill_square", wrong_pentagon)
+    ok, lines = coherence.check_coherence(2, 4)
+    status = {
+        line.split(" term=")[1].split(" pairs=")[0]: line.rsplit(" ", 1)[1]
+        for line in lines
+    }
+    assert not ok
+    assert status[format_term(forked, sig)] == "FAIL"
+    assert status[format_term(above, sig)] == "FAIL"
+    assert status[format_term(elsewhere, sig)] == "PASS"
+    code, out, _ = invoke(capsys, "check", "coherence", "--n", "2", "--max-nodes", "4")
+    assert (code, out.splitlines()[-1]) == (1, "some-fail")
 
 
 def test_export_dot(capsys):

@@ -260,10 +260,21 @@ def test_diagram_validation():
         TreeDiagram(2, caret(2), caret(2), (1, 1))
     with pytest.raises(TermError):
         TreeDiagram(3, caret(2), caret(2), (1, 2))
+    for n in (1, 0, -3, True):
+        with pytest.raises(TermError):
+            TreeDiagram(n, LEAF, LEAF, (1,))
+    deep = 0
+    for _ in range(1500):
+        deep = [deep, 0]
     for data in (
         {},
         {"n": 2, "domain": 0, "range": 0},
         {"n": 2, "domain": 5, "range": 0, "perm": [1]},
+        {"n": 2, "domain": deep, "range": deep, "perm": list(range(1, 1502))},
+        {"n": 2, "domain": False, "range": 0, "perm": [1]},
+        {"n": 2, "domain": 0, "range": 0.0, "perm": [1]},
+        {"n": 2, "domain": 0, "range": 0, "perm": [True]},
+        {"n": True, "domain": 0, "range": 0, "perm": [1]},
     ):
         with pytest.raises(TermError):
             from_json_dict(data)
