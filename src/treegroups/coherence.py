@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .terms import (
     App,
@@ -119,7 +120,9 @@ def parse_word(text: str) -> GeneratorWord:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
 def theory_for(name: str, n: int) -> Theory:
+    """The theory named `name` at arity n, built once per (name, n)."""
     if name == "c":
         return catalan_theory(n)
     if name == "sc":

@@ -6,10 +6,12 @@ Every operation here works on that one form by structural recursion.
 A diagram is a triple (domain tree, range tree, perm) with equal leaf
 counts, perm sending the i-th domain leaf (in left-to-right order) to the
 perm[i]-th range leaf.  Diagrams modulo common expansion form a group; the
-canonical representative is the reduced diagram, obtained by collapsing
-matched caret pairs until none remain.  Two diagrams multiply by growing
-each factor, in one pass, until the first range and the second domain are
-both their minimal common expansion.
+canonical representative is the reduced diagram.  `reduce` reaches it in
+one post-order walk of the domain, each leaf carrying its partner's range
+address, collapsing every caret whose leaves carry the children of one
+range caret.  Two diagrams multiply by growing each factor, in one pass,
+until the first range and the second domain are both their minimal common
+expansion.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -36,11 +38,16 @@ def caret(n: int):
 
 def leaves(tree) -> tuple:
     """Leaf addresses in lexicographic (left-to-right) order."""
-    if is_leaf(tree):
-        return ((),)
     out = []
-    for k, child in enumerate(tree, start=1):
-        out.extend((k,) + addr for addr in leaves(child))
+
+    def walk(node, prefix):
+        if is_leaf(node):
+            out.append(prefix)
+            return
+        for k, child in enumerate(node, start=1):
+            walk(child, prefix + (k,))
+
+    walk(tree, ())
     return tuple(out)
 
 
@@ -183,76 +190,65 @@ def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
     return TreeDiagram(d.n, domain, range_, perm)
 
 
-def _carets(tree) -> list:
-    """(address, first leaf index 1-based) for internal nodes whose children
-    are all leaves, ordered by leaf index."""
-    out = []
+def _tree_of_leaves(addresses, n: int):
+    """The arity-n tree whose leaf addresses, in order, are `addresses`:
+    a prefix is a leaf exactly when it is the next address."""
+    position = 0
 
-    def walk(node, prefix, first):
-        if is_leaf(node):
-            return 1
-        count = 0
-        for k, child in enumerate(node, start=1):
-            count += walk(child, prefix + (k,), first + count)
-        if all(is_leaf(c) for c in node):
-            out.append((prefix, first))
-        return count
+    def build(prefix):
+        nonlocal position
+        if addresses[position] == prefix:
+            position += 1
+            return LEAF
+        return tuple(map(build, [prefix + (k,) for k in range(1, n + 1)]))
 
-    walk(tree, (), 1)
-    return sorted(out, key=lambda p: p[1])
-
-
-def reducible_pairs(d: TreeDiagram) -> list:
-    """Collapsible caret pairs as (domain address, domain first-leaf index,
-    range parent address), ordered by domain leaf index."""
-    n = d.n
-    range_carets = {first: addr for addr, first in _carets(d.range)}
-    out = []
-    for addr, j in _carets(d.domain):
-        k = d.perm[j - 1]
-        if k in range_carets and all(d.perm[j - 1 + i] == k + i for i in range(1, n)):
-            out.append((addr, j, range_carets[k]))
-    return out
-
-
-def is_reduced(d: TreeDiagram) -> bool:
-    return not reducible_pairs(d)
-
-
-def _collapse(d: TreeDiagram, dom_addr, j: int, range_parent) -> TreeDiagram:
-    n = d.n
-    m = len(d.perm)
-    k = d.perm[j - 1]
-    domain = replace_node(d.domain, dom_addr, LEAF)
-    range_ = replace_node(d.range, range_parent, LEAF)
-
-    def shrink(y: int) -> int:
-        return y if y < k else y - (n - 1)
-
-    perm = []
-    for i in range(1, m - n + 2):
-        if i < j:
-            perm.append(shrink(d.perm[i - 1]))
-        elif i == j:
-            perm.append(k)
-        else:
-            perm.append(shrink(d.perm[i + n - 2]))
-    return TreeDiagram(n, domain, range_, tuple(perm))
+    return build(())
 
 
 def reduce(d: TreeDiagram) -> TreeDiagram:
-    """Collapse matched caret pairs to the fixpoint.
+    """The reduced diagram: matched caret pairs collapsed to the fixpoint.
 
-    The scan collapses the pair with the lowest domain leaf index first.
-    The endpoint does not depend on that choice: the test suite collapses
-    the `reducible_pairs` in every order (via `_collapse`) on small
-    diagrams and finds one endpoint.
+    Each domain leaf carries its partner's range address.  A domain node
+    whose children are all leaves carrying p.1 ... p.n, in order, collapses
+    with the range caret at p into one leaf carrying p; the range leaves
+    p.k prove that caret exists.  Addresses do not shift when a caret
+    elsewhere collapses, so a node's children are final once a post-order
+    walk has visited them, and one walk reaches the fixpoint.  The range is
+    rebuilt once from the surviving addresses.  The reduced diagram is
+    unique, so the collapse order does not matter; the test suite checks
+    this one against every order on small diagrams.
     """
-    while True:
-        pairs = reducible_pairs(d)
-        if not pairs:
-            return d
-        d = _collapse(d, *pairs[0])
+    n = d.n
+    range_leaves = leaves(d.range)
+    partners = iter([range_leaves[k - 1] for k in d.perm])
+    carried = []  # partner addresses of the walked domain leaves, in order
+    full_caret = caret(n)
+
+    def walk(node):
+        if is_leaf(node):
+            carried.append(next(partners))
+            return LEAF
+        kids = tuple(map(walk, node))
+        if kids == full_caret:
+            p = carried[-n][:-1]
+            if carried[-n:] == [p + (k,) for k in range(1, n + 1)]:
+                del carried[-n:]
+                carried.append(p)
+                return LEAF
+        return kids
+
+    domain = walk(d.domain)
+    if len(carried) == len(d.perm):
+        return d
+    order = sorted(carried)
+    rank = {address: i for i, address in enumerate(order, start=1)}
+    return TreeDiagram(
+        n, domain, _tree_of_leaves(order, n), tuple([rank[a] for a in carried])
+    )
+
+
+def is_reduced(d: TreeDiagram) -> bool:
+    return reduce(d) == d
 
 
 def invert_diagram(d: TreeDiagram) -> TreeDiagram:

@@ -39,7 +39,7 @@ from treegroups.diagrams import (
     leaf_count,
     multiply,
     random_reduced_diagram,
-    reducible_pairs,
+    reduce,
     to_diagram,
 )
 from treegroups.coherence import (
@@ -57,6 +57,8 @@ from treegroups.coherence import (
     positive_paths,
     words_equal,
 )
+
+from collapse_reference import all_reduction_endpoints
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -165,27 +167,6 @@ def test_operator_semantics():
     assert elapsed < 60
 
 
-def _all_reduction_endpoints(d):
-    from treegroups.diagrams import _collapse
-
-    seen = {}
-
-    def explore(x):
-        if x in seen:
-            return seen[x]
-        pairs = reducible_pairs(x)
-        if not pairs:
-            out = frozenset((x,))
-        else:
-            out = frozenset()
-            for pair in pairs:
-                out |= explore(_collapse(x, *pair))
-        seen[x] = out
-        return out
-
-    return explore(d)
-
-
 def _all_trees(n, k):
     if k == 0:
         return [LEAF]
@@ -221,7 +202,7 @@ def test_group_laws_and_reduction_canonicity():
                 for t2 in trees:
                     for perm in itertools.permutations(range(1, m + 1)):
                         d = TreeDiagram(n, t1, t2, perm)
-                        ok = ok and len(_all_reduction_endpoints(d)) == 1
+                        ok = ok and all_reduction_endpoints(d) == {reduce(d)}
                         checked += 1
     for n in (2, 3):
         rng = random.Random(2000 + n)
@@ -234,7 +215,7 @@ def test_group_laws_and_reduction_canonicity():
             perm = list(range(1, k * (n - 1) + 2))
             rng.shuffle(perm)
             d = TreeDiagram(n, t1, t2, tuple(perm))
-            ok = ok and len(_all_reduction_endpoints(d)) == 1
+            ok = ok and all_reduction_endpoints(d) == {reduce(d)}
             checked += 1
     elapsed = time.perf_counter() - start
     report(

@@ -5,7 +5,13 @@ import pytest
 
 from treegroups.terms import TermError, ParseError, Var, cat, enumerate_terms, lmb
 from treegroups.operators import catalan_theory, symmetric_catalan_theory
-from treegroups.diagrams import identity_diagram, multiply, to_diagram, is_order_preserving
+from treegroups.diagrams import (
+    identity_diagram,
+    invert_diagram,
+    is_order_preserving,
+    multiply,
+    to_diagram,
+)
 from treegroups.coherence import (
     A,
     S,
@@ -202,6 +208,46 @@ def test_eval_diagram_is_fold_of_multiply():
                 for g in word:
                     folded = multiply(folded, to_diagram(word_operator((g,), theory), n))
                 assert direct == folded
+
+
+def test_theory_for_is_built_once_per_name_and_arity():
+    assert theory_for("c", 3) is theory_for("c", 3)
+    assert theory_for("sc", 3) is not theory_for("c", 3)
+    assert theory_for("sc", 3) == symmetric_catalan_theory(3)
+    for _ in range(2):
+        with pytest.raises(TermError):
+            theory_for("v", 3)
+
+
+def brown_generators(n, depths):
+    """Brown's generators of F_{n,1} as diagrams: x_{(n-1)k+j}, for k in
+    `depths` and 0 <= j <= n-2, is a_{n-1} a_{n-2} ... a_{j+1}, every letter
+    at the address n.n...n of length k."""
+    out = []
+    for k in depths:
+        alpha = ".".join([str(n)] * k) or "-"
+        for j in range(n - 1):
+            word = " ".join(f"a{i}[{alpha}]" for i in range(n - 1, j, -1))
+            out.append(eval_diagram(parse_word(word), n, "c"))
+    return out
+
+
+def test_brown_presentation_of_f_n():
+    # Brown, "Finiteness properties of groups" (JPAA 1987): F_{n,1} has the
+    # relations x_i^-1 x_j x_i = x_{j+n-1} for i < j.  Classical products
+    # apply the rightmost factor first; in this package's left-to-right
+    # product, x_i^-1 x_j x_i is multiply(multiply(x_i, x_j), x_i^-1).
+    for n in (2, 3, 4, 5):
+        x = brown_generators(n, range(4))
+        assert len(set(x)) == len(x)
+        checked = 0
+        for j in range(len(x) - (n - 1)):
+            for i in range(j):
+                conjugate = multiply(multiply(x[i], x[j]), invert_diagram(x[i]))
+                assert conjugate == x[j + n - 1]
+                assert conjugate != x[j + n - 2]
+                checked += 1
+        assert checked == {2: 3, 3: 15, 4: 36, 5: 66}[n]
 
 
 def test_words_equal_examples():

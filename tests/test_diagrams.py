@@ -31,13 +31,14 @@ from treegroups.diagrams import (
     multiply,
     random_reduced_diagram,
     reduce,
-    reducible_pairs,
     to_diagram,
     to_dot,
     to_json,
     to_json_dict,
     tree_of_term,
 )
+
+from collapse_reference import all_reduction_endpoints
 
 
 def v(name):
@@ -118,28 +119,6 @@ def test_reduce_undoes_expansion():
                 assert reduce(expand_diagram(d, leaf)) == d
 
 
-def all_reduction_endpoints(d):
-    """Endpoints of every collapse order, memoized over intermediate states."""
-    from treegroups.diagrams import _collapse
-
-    seen = {}
-
-    def explore(x):
-        if x in seen:
-            return seen[x]
-        pairs = reducible_pairs(x)
-        if not pairs:
-            out = frozenset((x,))
-        else:
-            out = frozenset()
-            for pair in pairs:
-                out |= explore(_collapse(x, *pair))
-        seen[x] = out
-        return out
-
-    return explore(d)
-
-
 def test_reduction_orders_agree_small():
     rng = random.Random(13)
     for n in (2, 3):
@@ -152,7 +131,7 @@ def test_reduction_orders_agree_small():
             perm = list(range(1, k * (n - 1) + 2))
             rng.shuffle(perm)
             d = TreeDiagram(n, t1, t2, tuple(perm))
-            assert len(all_reduction_endpoints(d)) == 1
+            assert all_reduction_endpoints(d) == {reduce(d)}
 
 
 def test_multiply_examples():
