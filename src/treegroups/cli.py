@@ -2,8 +2,9 @@
 
 Exit codes: 0 for success / equal / all checks passed, 1 for unequal or any
 failed check, 2 for usage or parse errors, for input nested too deeply to
-evaluate, and for a check suite that would check nothing (n < 2 or a
-negative bound).  Results go to stdout, diagnostics to stderr.
+evaluate or too large for the memory available, and for a check suite that
+would check nothing (n < 2 or a negative bound).  Results go to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def run(argv) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -183,11 +183,20 @@ def invert(op: Operator) -> Operator:
 
 
 def eval_word(trs, signature: Signature) -> Operator:
-    """Left-to-right composite of translated rules; [] gives the identity."""
-    op: Operator = identity_operator()
-    for tr in trs:
-        op = compose(op, translated_seed(tr, signature))
-    return op
+    """Left-to-right composite of translated rules; [] gives the identity.
+
+    The seeds are composed pairwise, neighbour with neighbour, one level at
+    a time, so each unification meets two seeds of similar size instead of
+    a long prefix and one letter.  Composition is associative and a
+    canonical seed is unique for its operator, so the result is the left
+    fold's; the identity leads the list, which keeps one `compose` per
+    letter.
+    """
+    ops: list = [identity_operator()] + [translated_seed(tr, signature) for tr in trs]
+    while len(ops) > 1:
+        paired = [compose(a, b) for a, b in zip(ops[::2], ops[1::2])]
+        ops = paired + ops[len(paired) * 2 :]
+    return ops[0]
 
 
 # ---------------------------------------------------------------------------

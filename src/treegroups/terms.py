@@ -199,12 +199,7 @@ def variable_addresses(t: Term, name: str) -> list:
 
 def support(t: Term) -> frozenset:
     """The set of variable names occurring in t."""
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out: frozenset = frozenset()
-    for c in t.children:
-        out |= support(c)
-    return out
+    return frozenset(variables_in_order(t))
 
 
 def occurrences(t: Term) -> Counter:

@@ -1,27 +1,24 @@
 """Syntactic first-order unification, matching, and composability.
 
-The central entry point is `mgu(t1, s2)`, which renames the two terms apart
-before unifying and returns the most general unifier as a *pair* of
-substitutions: one acting on the variables of `t1`, one on the variables of
-`s2`.  The pair form matters because identically named variables on the two
-sides are distinct: the callers quantify the two terms separately.
+The central entry point is `mgu(t1, s2)`, which unifies the two terms with
+their variables kept apart and returns the most general unifier as a *pair*
+of substitutions: one acting on the variables of `t1`, one on the variables
+of `s2`.  The pair form matters because identically named variables on the
+two sides are distinct: the callers quantify the two terms separately.
 
 The solver is the classic transformation system (decompose / clash /
-eliminate with occurs check) on a worklist, keeping the solved set
-idempotent as bindings are added.  No union-find machinery: inputs here are
-desk-sized.
+eliminate with occurs check) on a worklist, kept in triangular solved form
+(Martelli and Montanari, *An efficient unification algorithm*, TOPLAS 1982):
+a binding points at an unsubstituted subterm of an input, a term is walked
+through the bindings only when its pair is popped, and the result terms are
+built once, at the end.  `mgu` and `unify_shared` share this solver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import App, Term, Var, apply_subst, support, variables_in_order
-
-# Internal namespaces used while the two sides share one variable space.
-# The marker byte cannot appear in parsed identifiers.
-_L = "l\x1f"
-_R = "r\x1f"
+from .terms import App, Term, Var, variables_in_order
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class UnifierPair:
 
     left: dict
     right: dict
-
-
-def occurs(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(occurs(name, c) for c in t.children)
 
 
 def match(pattern: Term, subject: Term, bindings: dict | None = None) -> dict | None:
@@ -74,39 +65,109 @@ def match_many(pairs) -> dict | None:
     return out
 
 
+# A variable of the solver is a key (side, name): mgu puts t1 on side 0 and
+# s2 on side 1, so equal spellings on the two sides stay distinct without
+# renaming, and unify_shared puts both terms on side 0.  A binding maps a key
+# to (side, subterm), where the subterm is a piece of an input term, never a
+# substituted copy; the solved form is triangular and is resolved once at
+# the end.
+
+
+def _walk(side: int, t: Term, bindings: dict) -> tuple:
+    """Follow variable bindings from t until an App or an unbound variable."""
+    while isinstance(t, Var):
+        bound = bindings.get((side, t.name))
+        if bound is None:
+            break
+        side, t = bound
+    return side, t
+
+
+def _unbound(side: int, t: Term, bindings: dict):
+    """The unbound variables of t with bindings applied, left to right, as
+    keys.  Each bound variable is expanded once: a second visit would add
+    no new variable, because its first expansion is finished by then (a
+    variable never occurs in its own)."""
+    expanded: set = set()
+    stack = [(side, t)]
+    while stack:
+        side, t = stack.pop()
+        if isinstance(t, App):
+            stack.extend((side, c) for c in reversed(t.children))
+            continue
+        key = (side, t.name)
+        if key not in bindings:
+            yield key
+        elif key not in expanded:
+            expanded.add(key)
+            stack.append(bindings[key])
+
+
+def _solve(side1: int, t1: Term, side2: int, t2: Term) -> dict | None:
+    """Triangular most general unifier of (side1, t1) and (side2, t2), or None.
+
+    Pairs are taken from a stack and walked only when popped.  A variable
+    meets a term as in the classic transformation system: after the walk, a
+    variable on the left is bound to the right, otherwise the right-hand
+    variable is bound to the left; the occurs check follows the bindings.
+    The returned dict lists the bindings in the order they were made.
+    """
+    bindings: dict = {}
+    stack = [(side1, t1, side2, t2)]
+    while stack:
+        sa, a, sb, b = stack.pop()
+        sa, a = _walk(sa, a, bindings)
+        sb, b = _walk(sb, b, bindings)
+        if isinstance(a, App) and isinstance(b, App):
+            if a is b and sa == sb:
+                continue
+            if a.symbol != b.symbol or len(a.children) != len(b.children):
+                return None
+            stack.extend((sa, x, sb, y) for x, y in zip(a.children, b.children))
+            continue
+        if not isinstance(a, Var):
+            sa, a, sb, b = sb, b, sa, a
+        key = (sa, a.name)
+        if isinstance(b, Var) and key == (sb, b.name):
+            continue
+        if key in _unbound(sb, b, bindings):
+            return None
+        bindings[key] = (sb, b)
+    return bindings
+
+
+def _resolve(side: int, t: Term, bindings: dict, memo: dict) -> Term:
+    """t with the bindings applied.  `memo` maps every residual variable to
+    its output term and takes in each bound variable once its term is built,
+    so no term is built twice.  The children are built in a loop, not a
+    comprehension, so the recursion takes one frame per App level."""
+    chain = []
+    while isinstance(t, Var) and (side, t.name) not in memo:
+        chain.append((side, t.name))
+        side, t = bindings[chain[-1]]
+    if isinstance(t, Var):
+        out = memo[side, t.name]
+    else:
+        kids = []
+        for c in t.children:
+            kids.append(_resolve(side, c, bindings, memo))
+        out = App(t.symbol, tuple(kids))
+    for key in chain:
+        memo[key] = out
+    return out
+
+
 def unify_shared(t1: Term, t2: Term) -> dict | None:
     """Unify two terms over a shared variable namespace.
 
     Returns an idempotent most general unifier, or None.  Includes the
     occurs check, so e.g. x does not unify with a term properly containing x.
     """
-    subst: dict = {}
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        a = apply_subst(a, subst)
-        b = apply_subst(b, subst)
-        if a == b:
-            continue
-        if isinstance(a, App) and isinstance(b, App):
-            if a.symbol != b.symbol or len(a.children) != len(b.children):
-                return None
-            stack.extend(zip(a.children, b.children))
-            continue
-        if not isinstance(a, Var):
-            a, b = b, a
-        if occurs(a.name, b):
-            return None
-        binding = {a.name: b}
-        subst = {k: apply_subst(v, binding) for k, v in subst.items()}
-        subst[a.name] = b
-    return subst
-
-
-def _prefix_vars(t: Term, prefix: str) -> Term:
-    if isinstance(t, Var):
-        return Var(prefix + t.name)
-    return App(t.symbol, tuple(_prefix_vars(c, prefix) for c in t.children))
+    bindings = _solve(0, t1, 0, t2)
+    if bindings is None:
+        return None
+    memo = {key: Var(key[1]) for key in _unbound(0, t1, bindings)}
+    return {name: _resolve(0, Var(name), bindings, memo) for _, name in bindings}
 
 
 def mgu(t1: Term, s2: Term) -> UnifierPair | None:
@@ -118,15 +179,11 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
     the unified term are named deterministically, preferring the original
     names but never reusing a name that either side binds.
     """
-    a = _prefix_vars(t1, _L)
-    b = _prefix_vars(s2, _R)
-    sigma = unify_shared(a, b)
-    if sigma is None:
+    bindings = _solve(0, t1, 1, s2)
+    if bindings is None:
         return None
-    common = apply_subst(a, sigma)
-
-    def solved(prefix: str, name: str) -> Term:
-        return apply_subst(Var(prefix + name), sigma)
+    sides = (variables_in_order(t1), variables_in_order(s2))
+    names = (set(sides[0]), set(sides[1]))
 
     # Residual variables of the unified term get deterministic output names.
     # A residual keeps its original spelling only when every side that owns
@@ -134,38 +191,39 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
     # otherwise it takes a suffixed name clear of all input names.  This
     # keeps both returned substitutions idempotent: no name occurring in a
     # range is ever nontrivially bound.
-    names_left, names_right = support(t1), support(s2)
-
-    def keeps_base(internal: str, base: str) -> bool:
-        for prefix, names in ((_L, names_left), (_R, names_right)):
-            if base in names and solved(prefix, base) != Var(internal):
-                return False
+    def keeps_base(key: tuple) -> bool:
+        base = key[1]
+        for side in (0, 1):
+            if base in names[side]:
+                end, t = _walk(side, Var(base), bindings)
+                if not isinstance(t, Var) or (end, t.name) != key:
+                    return False
         return True
 
     remap: dict = {}
     used: set = set()
-    for internal in variables_in_order(common):
-        base = internal[len(_L) :]
-        if base not in used and keeps_base(internal, base):
+    for key in dict.fromkeys(_unbound(0, t1, bindings)):
+        base = key[1]
+        if base not in used and keeps_base(key):
             candidate = base
         else:
             counter = 2
             candidate = f"{base}_{counter}"
-            while candidate in used or candidate in names_left or candidate in names_right:
+            while candidate in used or candidate in names[0] or candidate in names[1]:
                 counter += 1
                 candidate = f"{base}_{counter}"
         used.add(candidate)
-        remap[internal] = Var(candidate)
+        remap[key] = Var(candidate)
 
-    def out_subst(prefix: str, source: Term) -> dict:
+    def out_subst(side: int) -> dict:
         result = {}
-        for name in variables_in_order(source):
-            term = apply_subst(solved(prefix, name), remap)
-            if term != Var(name):
+        for name in sides[side]:
+            term = _resolve(side, Var(name), bindings, remap)
+            if not (isinstance(term, Var) and term.name == name):
                 result[name] = term
         return result
 
-    return UnifierPair(out_subst(_L, t1), out_subst(_R, s2))
+    return UnifierPair(out_subst(0), out_subst(1))
 
 
 def is_composable(pairs) -> bool:

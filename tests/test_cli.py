@@ -1,6 +1,6 @@
 import json
 
-from treegroups import coherence
+from treegroups import cli, coherence
 from treegroups.cli import run
 from treegroups.terms import catalan_signature, format_term, parse_term
 
@@ -122,6 +122,24 @@ def test_deep_term_exit_code(capsys):
     term = "(x " * 1500 + "y" + ")" * 1500
     code, out, err = invoke(capsys, "term", "rank", "--n", "2", term)
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
+
+
+def test_out_of_memory_exit_code(capsys, monkeypatch):
+    def exhausted(args, second_word):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_dispatch", exhausted)
+    code, out, err = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", "a1[-]")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_long_word_recursion_headroom(capsys):
+    # The seed path recurses once per term level, and 330 letters a1[-]
+    # nest the seed 331 levels deep.
+    word = " ".join(["a1[-]"] * 330)
+    code, out, err = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", word)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == 2
 
 
 def test_check_moore(capsys):

@@ -1,4 +1,5 @@
-"""Seeded property tests of reduction and the diagram product.
+"""Seeded property tests of reduction, the diagram product and seed
+composition.
 
 The examples are derandomized, so every run checks the same diagrams.  The
 module skips when `hypothesis` is not installed.
@@ -19,6 +20,18 @@ from treegroups.diagrams import (
     multiply,
     reduce,
 )
+
+from treegroups.operators import (
+    EMPTY,
+    Rule,
+    TranslatedRule,
+    catalan_theory,
+    compose,
+    eval_word,
+    generic_theory,
+    symmetric_catalan_theory,
+)
+from treegroups.terms import App, Signature, Var
 
 from collapse_reference import all_reduction_endpoints
 
@@ -74,3 +87,65 @@ def test_reduce_is_the_reference_endpoint(d):
 def test_multiply_is_associative(factors):
     a, b, c = factors
     assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+# Seed composition.  `eval_word` composes a word's seeds pairwise, which
+# agrees with the left fold exactly when composition is associative and a
+# word's operator splits at every point.  Besides the tuple theories, a
+# generic theory with a non-linear rule (dup) and a rule that changes the
+# head symbol (flip), so that some composites are EMPTY.
+
+_X, _Y = Var("x"), Var("y")
+GENERIC = generic_theory(
+    "dup-flip",
+    Signature([("F", 2), ("G", 2)]),
+    [
+        Rule("dup", App("F", (_X, _X)), _X),
+        Rule("flip", App("F", (_X, _Y)), App("G", (_Y, _X))),
+    ],
+)
+THEORIES = (
+    [catalan_theory(n) for n in (2, 3, 4)]
+    + [symmetric_catalan_theory(n) for n in (2, 3, 4)]
+    + [GENERIC]
+)
+
+
+def letters(theory):
+    if theory.kind == "generic":
+        steps = st.sampled_from(
+            [(s, k) for s, arity in theory.signature.arities.items() for k in range(1, arity + 1)]
+        )
+    else:
+        steps = st.integers(1, theory.n)
+    address = st.lists(steps, max_size=2).map(tuple)
+    return st.builds(TranslatedRule, st.sampled_from(theory.rules), address, st.booleans())
+
+
+theory_and_words = st.sampled_from(THEORIES).flatmap(
+    lambda theory: st.tuples(st.just(theory), *[st.lists(letters(theory), max_size=5)] * 3)
+)
+
+
+def test_generic_theory_has_empty_composites():
+    flip = TranslatedRule(GENERIC.rule("flip"))
+    assert eval_word([flip, flip], GENERIC.signature) is EMPTY
+
+
+@SEEDED
+@given(theory_and_words)
+def test_compose_is_associative_and_empty_absorbs(case):
+    theory, *words = case
+    a, b, c = (eval_word(w, theory.signature) for w in words)
+    assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert compose(a, EMPTY) is EMPTY and compose(EMPTY, a) is EMPTY
+
+
+@SEEDED
+@given(theory_and_words)
+def test_eval_word_splits_at_every_point(case):
+    theory, u, v, _ = case
+    signature = theory.signature
+    assert eval_word(u + v, signature) == compose(
+        eval_word(u, signature), eval_word(v, signature)
+    )
