@@ -10,6 +10,7 @@ diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .terms import (
@@ -38,6 +39,7 @@ from .coherence import (
 from .diagrams import to_dot, to_json
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treegroups")
     top = parser.add_subparsers(dest="group", required=True)

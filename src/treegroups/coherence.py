@@ -3,9 +3,11 @@
 Words are sequences of signed, addressed generators: `a<i>` regroups a
 nested tuple one child position to the left, `s<i>` transposes two adjacent
 children.  Every relation family below instantiates to a pair of words with
-the same evaluation; `eval_diagram` sends a word through seed composition to
-a reduced tree diagram, and two words are equal in the group exactly when
-their diagrams coincide.
+the same evaluation; `eval_diagram` lets each letter act locally on a tree
+pair and reduces the pair once at the end, and two words are equal in the
+group exactly when their reduced diagrams coincide.  `word_operator` gives
+the same element through seed composition, the package's semantics, which
+serves operator composition and the tests as the reference.
 
 The text format is whitespace-separated tokens `a<i>[addr]` / `s<i>[addr]`,
 with capital `A`/`S` for inverses and `addr` a dot-separated child-index
@@ -39,7 +41,6 @@ from .terms import (
     variable_addresses,
 )
 from .operators import (
-    EMPTY,
     Operator,
     Theory,
     TranslatedRule,
@@ -49,10 +50,11 @@ from .operators import (
     symmetric_catalan_theory,
 )
 from .diagrams import (
+    LEAF,
     TreeDiagram,
     identity_diagram,
     multiply,
-    to_diagram,
+    reduce,
     to_json,
 )
 
@@ -130,7 +132,9 @@ def theory_for(name: str, n: int) -> Theory:
     raise TermError(f"unknown theory {name!r} (expected 'c' or 'sc')")
 
 
-def generator_rule(g: Generator, theory: Theory) -> TranslatedRule:
+def check_letter(g: Generator, theory: Theory) -> None:
+    """Raise TermError unless the letter acts in the theory: index in
+    1..n-1, every address step in 1..n, and twists only when symmetric."""
     n = theory.n
     if not 1 <= g.index <= n - 1:
         raise TermError(f"generator index {g.index} out of range for n={n}")
@@ -138,6 +142,10 @@ def generator_rule(g: Generator, theory: Theory) -> TranslatedRule:
         raise TermError(f"generator address {g.address} out of range for n={n}")
     if g.kind == "s" and theory.kind != "symmetric-catalan":
         raise TermError("twist generators need the symmetric theory")
+
+
+def generator_rule(g: Generator, theory: Theory) -> TranslatedRule:
+    check_letter(g, theory)
     return TranslatedRule(theory.rule(f"{g.kind}{g.index}"), g.address, g.sign > 0)
 
 
@@ -145,13 +153,68 @@ def word_operator(word, theory: Theory) -> Operator:
     return eval_word([generator_rule(g, theory) for g in word], theory.signature)
 
 
+def _freeze(tree, order: list):
+    """Nested lists as nested tuples, appending the leaf ids to `order`."""
+
+    def walk(node):
+        if type(node) is int:
+            order.append(node)
+            return LEAF
+        return tuple(map(walk, node))
+
+    return walk(tree)
+
+
 def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
-    """Evaluate a word to its reduced tree diagram."""
+    """Evaluate a word to its reduced tree diagram by local action.
+
+    The pair starts as (leaf, leaf).  The range tree is the current term's
+    shape, nested lists with integer ids at the leaves, and each id is
+    paired with the domain leaf it sits at in `slot`.  A letter walks the
+    range along its address and rewrites one node in place: `a<i>` moves
+    the nest at child i+1 one position left, `A<i>` moves the nest at child
+    i one position right, `s<i>` swaps children i and i+1.  A leaf where a
+    node is needed is careted, and so is its domain partner, with the same
+    n fresh ids, so the pair is always the most general one the prefix
+    acts on.  The frozen pair is reduced once; the result equals
+    `to_diagram(word_operator(word, theory), n)`.
+    """
     theory = theory_for(theory_name, n)
-    op = word_operator(word, theory)
-    if op is EMPTY:
-        raise TermError("word evaluates to the empty operator")
-    return to_diagram(op, n)
+    domain, range_ = [0], [0]  # each holds its tree at index 0
+    slot = {0: (domain, 0)}
+    fresh = itertools.count(1)
+
+    def internal(parent: list, k: int) -> list:
+        """parent[k], careted first if it is a leaf."""
+        leaf = parent[k]
+        if type(leaf) is not int:
+            return leaf
+        node = parent[k] = [next(fresh) for _ in range(n)]
+        owner, j = slot.pop(leaf)
+        owner[j] = partner = node.copy()
+        for position, child in enumerate(partner):
+            slot[child] = (partner, position)
+        return node
+
+    for g in word:
+        check_letter(g, theory)
+        parent, k = range_, 0
+        for step in g.address:
+            parent, k = internal(parent, k), step - 1
+        node, i = internal(parent, k), g.index
+        if g.kind == "s":
+            node[i - 1], node[i] = node[i], node[i - 1]
+        elif g.sign > 0:
+            nest = internal(node, i)
+            node[i - 1 : i + 1] = [[node[i - 1]] + nest[:-1], nest[-1]]
+        else:
+            nest = internal(node, i - 1)
+            node[i - 1 : i + 1] = [nest[0], nest[1:] + [node[i]]]
+
+    source, target = [], []
+    shapes = _freeze(domain[0], source), _freeze(range_[0], target)
+    position = {leaf: k for k, leaf in enumerate(target, start=1)}
+    return reduce(TreeDiagram(n, *shapes, tuple([position[leaf] for leaf in source])))
 
 
 def words_equal(w1, w2, n: int, theory_name: str = "sc") -> bool:
@@ -539,9 +602,7 @@ def check_coherence(n: int, max_nodes: int = 4):
 
 def twist_diagram(n: int, i: int) -> TreeDiagram:
     """The diagram of the twist s<i> applied at the root of a flat tuple."""
-    theory = symmetric_catalan_theory(n)
-    op = word_operator((S(i),), theory)
-    return to_diagram(op, n)
+    return eval_diagram((S(i),), n, "sc")
 
 
 def check_moore(n: int):

@@ -331,7 +331,7 @@ def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
 def _tree_to_json(tree):
     if is_leaf(tree):
         return 0
-    return [_tree_to_json(c) for c in tree]
+    return list(map(_tree_to_json, tree))
 
 
 def _tree_from_json(value):

@@ -29,8 +29,6 @@ from .terms import (
     apply_subst,
     catalan_signature,
     is_balanced,
-    is_linear_pair,
-    leaf_addresses,
     replace,
     subterm,
     underlying_list,
@@ -362,61 +360,3 @@ def congruent(theory: Theory, t: Term, u: Term, budget: int = 20000):
         else:
             frontier_right = new
     return False
-
-
-# ---------------------------------------------------------------------------
-# Group-level seed normal form
-
-
-def seed_reduce(op: Operator) -> Operator:
-    """Cancel matched tuple blocks from a linear seed.
-
-    Whenever n consecutive source leaves are the children of one node and
-    their images under the leaf correspondence are n consecutive target
-    leaves, in order, forming the children of one target node, both nodes
-    collapse to a single shared variable.  The fixpoint is the seed of the
-    group element: idempotents collapse to the identity seed.  This is a
-    term-level computation, independent of the tree-diagram machinery.
-    """
-    if op is EMPTY:
-        return EMPTY
-    if not is_linear_pair(op.source, op.target):
-        raise TermError("seed_reduce needs a linear seed")
-    source, target = op.source, op.target
-    while True:
-        if isinstance(source, Var):
-            break
-        src_leaves = leaf_addresses(source)
-        src_word = underlying_list(source)
-        tgt_leaves = leaf_addresses(target)
-        tgt_word = underlying_list(target)
-        tgt_pos = {name: k for k, name in enumerate(tgt_word)}
-        done = True
-        for addr in _all_addresses(source):
-            node = subterm(source, addr)
-            if isinstance(node, Var) or not all(
-                isinstance(c, Var) for c in node.children
-            ):
-                continue
-            n = len(node.children)
-            j = src_leaves.index(addr + (1,))
-            positions = [tgt_pos[src_word[j + k]] for k in range(n)]
-            if positions != list(range(positions[0], positions[0] + n)):
-                continue
-            first = tgt_leaves[positions[0]]
-            if not first or first[-1] != 1:
-                continue
-            parent = first[:-1]
-            tnode = subterm(target, parent)
-            if len(tnode.children) != n or not all(
-                isinstance(c, Var) for c in tnode.children
-            ):
-                continue
-            merged = Var(src_word[j])
-            source = replace(source, addr, merged)
-            target = replace(target, parent, merged)
-            done = False
-            break
-        if done:
-            break
-    return canonical(Seed(source, target))

@@ -254,14 +254,6 @@ def apply_subst(t: Term, subst: dict) -> Term:
     return App(t.symbol, tuple(apply_subst(c, subst) for c in t.children))
 
 
-def compose_subst(first: dict, second: dict) -> dict:
-    """The substitution "apply `first`, then `second`"."""
-    out = {name: apply_subst(term, second) for name, term in first.items()}
-    for name, term in second.items():
-        out.setdefault(name, term)
-    return {name: term for name, term in out.items() if term != Var(name)}
-
-
 # ---------------------------------------------------------------------------
 # Leaf words, left combs, rank
 

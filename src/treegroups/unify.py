@@ -55,16 +55,6 @@ def match(pattern: Term, subject: Term, bindings: dict | None = None) -> dict | 
     return out
 
 
-def match_many(pairs) -> dict | None:
-    """Match several (pattern, subject) pairs under one shared binding."""
-    out: dict | None = {}
-    for pattern, subject in pairs:
-        out = match(pattern, subject, out)
-        if out is None:
-            return None
-    return out
-
-
 # A variable of the solver is a key (side, name): mgu puts t1 on side 0 and
 # s2 on side 1, so equal spellings on the two sides stay distinct without
 # renaming, and unify_shared puts both terms on side 0.  A binding maps a key

@@ -7,6 +7,9 @@ namespace; `eval_word` composes a word's seeds as a left fold.  The library
 reaches the same results by another route (a triangular solver on tagged
 sides, seeds composed pairwise), and the tests require the two to agree,
 down to the key order of the returned substitutions.
+
+`seed_reduce` is the group-level normal form of a seed, computed on terms
+alone: the tests compare it with the reduced tree diagram.
 """
 
 from treegroups.operators import (
@@ -16,7 +19,19 @@ from treegroups.operators import (
     identity_operator,
     translated_seed,
 )
-from treegroups.terms import App, Var, apply_subst, support, variables_in_order
+from treegroups.terms import (
+    App,
+    TermError,
+    Var,
+    apply_subst,
+    is_linear_pair,
+    leaf_addresses,
+    replace,
+    subterm,
+    support,
+    underlying_list,
+    variables_in_order,
+)
 from treegroups.unify import UnifierPair
 
 # Internal namespaces used while the two sides share one variable space.
@@ -143,3 +158,65 @@ def eval_word(trs, signature):
     for tr in trs:
         op = compose(op, translated_seed(tr, signature))
     return op
+
+
+def _node_addresses(t, prefix=()):
+    """Every node address of t, in pre-order."""
+    yield prefix
+    if isinstance(t, App):
+        for k, c in enumerate(t.children, start=1):
+            yield from _node_addresses(c, prefix + (k,))
+
+
+def seed_reduce(op):
+    """Cancel matched tuple blocks from a linear seed.
+
+    Whenever n consecutive source leaves are the children of one node and
+    their images under the leaf correspondence are n consecutive target
+    leaves, in order, forming the children of one target node, both nodes
+    collapse to a single shared variable.  The fixpoint is the seed of the
+    group element: idempotents collapse to the identity seed.  This is a
+    term-level computation, independent of the tree-diagram machinery.
+    """
+    if op is EMPTY:
+        return EMPTY
+    if not is_linear_pair(op.source, op.target):
+        raise TermError("seed_reduce needs a linear seed")
+    source, target = op.source, op.target
+    while True:
+        if isinstance(source, Var):
+            break
+        src_leaves = leaf_addresses(source)
+        src_word = underlying_list(source)
+        tgt_leaves = leaf_addresses(target)
+        tgt_word = underlying_list(target)
+        tgt_pos = {name: k for k, name in enumerate(tgt_word)}
+        done = True
+        for addr in _node_addresses(source):
+            node = subterm(source, addr)
+            if isinstance(node, Var) or not all(
+                isinstance(c, Var) for c in node.children
+            ):
+                continue
+            n = len(node.children)
+            j = src_leaves.index(addr + (1,))
+            positions = [tgt_pos[src_word[j + k]] for k in range(n)]
+            if positions != list(range(positions[0], positions[0] + n)):
+                continue
+            first = tgt_leaves[positions[0]]
+            if not first or first[-1] != 1:
+                continue
+            parent = first[:-1]
+            tnode = subterm(target, parent)
+            if len(tnode.children) != n or not all(
+                isinstance(c, Var) for c in tnode.children
+            ):
+                continue
+            merged = Var(src_word[j])
+            source = replace(source, addr, merged)
+            target = replace(target, parent, merged)
+            done = False
+            break
+        if done:
+            break
+    return canonical(Seed(source, target))

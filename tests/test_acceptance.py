@@ -26,7 +26,6 @@ from treegroups.operators import (
     catalan_theory,
     compose,
     eval_word,
-    seed_reduce,
     symmetric_catalan_theory,
     translated_seed,
 )
@@ -59,6 +58,7 @@ from treegroups.coherence import (
 )
 
 from collapse_reference import all_reduction_endpoints
+from seed_reference import seed_reduce
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> None:

@@ -110,6 +110,21 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_parser_built_once_gives_the_same_output(capsys):
+    usage = ("word", "eval", "--n", "2")
+    valid = ("word", "eval", "--n", "2", "--theory", "sc", "s1[-]")
+    alone = []
+    for argv in (usage, valid):
+        cli._build_parser.cache_clear()
+        alone.append(invoke(capsys, *argv))
+    cli._build_parser.cache_clear()
+    together = [invoke(capsys, *argv) for argv in (usage, valid)]
+    assert together == alone
+    assert alone[0][0] == 2 and "required" in alone[0][2]
+    assert alone[1][0] == 0 and alone[1][2] == ""
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_deep_address_exit_code(capsys):
     address = ".".join(["1"] * 1200)
     code, out, err = invoke(
@@ -140,6 +155,13 @@ def test_long_word_recursion_headroom(capsys):
     code, out, err = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", word)
     assert (code, err) == (0, "")
     assert json.loads(out)["n"] == 2
+
+
+def test_long_word_eq_recursion_headroom(capsys):
+    # Both words nest their trees 331 levels deep on the diagram path.
+    word = " ".join(["a1[-]"] * 330)
+    code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", word, "--", word)
+    assert (code, out, err) == (0, "equal\n", "")
 
 
 def test_check_moore(capsys):

@@ -29,10 +29,11 @@ from treegroups.operators import (
     invert,
     one_step_rewrites,
     rewrite_at,
-    seed_reduce,
     symmetric_catalan_theory,
     translated_seed,
 )
+
+from seed_reference import seed_reduce
 
 
 def v(name):

@@ -1,5 +1,5 @@
-"""Seeded property tests of reduction, the diagram product and seed
-composition.
+"""Seeded property tests of reduction, the diagram product, seed
+composition and word evaluation.
 
 The examples are derandomized, so every run checks the same diagrams.  The
 module skips when `hypothesis` is not installed.
@@ -11,6 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
+from treegroups.coherence import Generator, eval_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -148,4 +149,31 @@ def test_eval_word_splits_at_every_point(case):
     signature = theory.signature
     assert eval_word(u + v, signature) == compose(
         eval_word(u, signature), eval_word(v, signature)
+    )
+
+
+# Word evaluation by local action: the diagram of a concatenation is the
+# product of the diagrams of its parts.
+
+@st.composite
+def word_pairs(draw):
+    n = draw(st.sampled_from((2, 3, 4)))
+    theory_name = draw(st.sampled_from(("c", "sc")))
+    letter = st.builds(
+        Generator,
+        st.sampled_from("a" if theory_name == "c" else "as"),
+        st.integers(1, n - 1),
+        st.sampled_from((1, -1)),
+        st.lists(st.integers(1, n), max_size=3).map(tuple),
+    )
+    u, v = (tuple(draw(st.lists(letter, max_size=12))) for _ in range(2))
+    return n, theory_name, u, v
+
+
+@SEEDED
+@given(word_pairs())
+def test_eval_diagram_is_a_homomorphism(case):
+    n, theory_name, u, v = case
+    assert eval_diagram(u + v, n, theory_name) == multiply(
+        eval_diagram(u, n, theory_name), eval_diagram(v, n, theory_name)
     )

@@ -14,7 +14,6 @@ from treegroups.terms import (
     assoc_redexes,
     cat,
     catalan_signature,
-    compose_subst,
     enumerate_terms,
     format_address,
     format_term,
@@ -36,6 +35,9 @@ from treegroups.terms import (
     underlying_list,
     variable_addresses,
 )
+
+from subst_reference import compose_subst
+
 
 FG = Signature([("F", 2), ("G", 3)])
 T_FG = App("F", (Var("w"), App("G", (Var("x"), Var("y"), Var("z")))))

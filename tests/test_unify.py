@@ -10,8 +10,10 @@ from treegroups.terms import (
     support,
     underlying_list,
 )
-from treegroups.unify import is_composable, match, match_many, mgu, unify_shared
+from treegroups.unify import is_composable, match, mgu, unify_shared
 from treegroups.operators import catalan_theory, symmetric_catalan_theory
+
+from subst_reference import match_many
 
 
 def v(name):
