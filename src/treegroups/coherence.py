@@ -32,7 +32,6 @@ from .terms import (
     enumerate_terms,
     format_address,
     format_term,
-    is_prefix,
     lmb,
     orthogonal,
     parse_address,
@@ -109,15 +108,14 @@ def parse_word(text: str) -> GeneratorWord:
         if head not in "aAsS":
             raise ParseError(f"bad generator token {token!r}")
         open_bracket = token.find("[")
-        if open_bracket < 0 or not token.endswith("]"):
+        digits = token[1:open_bracket]
+        if open_bracket < 0 or not token.endswith("]") or not (
+            digits.isascii() and digits.isdigit()
+        ):
             raise ParseError(f"bad generator token {token!r}")
-        try:
-            index = int(token[1:open_bracket])
-        except ValueError as exc:
-            raise ParseError(f"bad generator token {token!r}") from exc
         address = parse_address(token[open_bracket + 1 : -1])
         out.append(
-            Generator(head.lower(), index, 1 if head.islower() else -1, address)
+            Generator(head.lower(), int(digits), 1 if head.islower() else -1, address)
         )
     return tuple(out)
 
@@ -153,13 +151,16 @@ def word_operator(word, theory: Theory) -> Operator:
     return eval_word([generator_rule(g, theory) for g in word], theory.signature)
 
 
-def _freeze(tree, order: list):
-    """Nested lists as nested tuples, appending the leaf ids to `order`."""
+def _freeze(tree, split: dict, order: list):
+    """Nested lists as nested tuples, expanding each leaf id recorded in
+    `split` into its caret and appending the other leaf ids to `order`."""
 
     def walk(node):
         if type(node) is int:
-            order.append(node)
-            return LEAF
+            if node not in split:
+                order.append(node)
+                return LEAF
+            node = split[node]
         return tuple(map(walk, node))
 
     return walk(tree)
@@ -168,20 +169,20 @@ def _freeze(tree, order: list):
 def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
     """Evaluate a word to its reduced tree diagram by local action.
 
-    The pair starts as (leaf, leaf).  The range tree is the current term's
-    shape, nested lists with integer ids at the leaves, and each id is
-    paired with the domain leaf it sits at in `slot`.  A letter walks the
-    range along its address and rewrites one node in place: `a<i>` moves
-    the nest at child i+1 one position left, `A<i>` moves the nest at child
-    i one position right, `s<i>` swaps children i and i+1.  A leaf where a
-    node is needed is careted, and so is its domain partner, with the same
-    n fresh ids, so the pair is always the most general one the prefix
-    acts on.  The frozen pair is reduced once; the result equals
+    The pair starts as (leaf, leaf), both leaf 0.  The range tree is the
+    current term's shape, nested lists with integer ids at the leaves.  A
+    letter walks the range along its address and rewrites one node in
+    place: `a<i>` moves the nest at child i+1 one position left, `A<i>`
+    moves the nest at child i one position right, `s<i>` swaps children i
+    and i+1.  A leaf where a node is needed is careted into n fresh ids,
+    recorded in `split`; the domain is leaf 0 with every recorded caret, so
+    the pair is always the most general one the prefix acts on.  The frozen
+    pair is reduced once; the result equals
     `to_diagram(word_operator(word, theory), n)`.
     """
     theory = theory_for(theory_name, n)
-    domain, range_ = [0], [0]  # each holds its tree at index 0
-    slot = {0: (domain, 0)}
+    range_ = [0]  # holds the range tree at index 0
+    split = {}
     fresh = itertools.count(1)
 
     def internal(parent: list, k: int) -> list:
@@ -190,10 +191,7 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
         if type(leaf) is not int:
             return leaf
         node = parent[k] = [next(fresh) for _ in range(n)]
-        owner, j = slot.pop(leaf)
-        owner[j] = partner = node.copy()
-        for position, child in enumerate(partner):
-            slot[child] = (partner, position)
+        split[leaf] = tuple(node)
         return node
 
     for g in word:
@@ -212,7 +210,7 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
             node[i - 1 : i + 1] = [nest[0], nest[1:] + [node[i]]]
 
     source, target = [], []
-    shapes = _freeze(domain[0], source), _freeze(range_[0], target)
+    shapes = _freeze(0, split, source), _freeze(range_[0], split, target)
     position = {leaf: k for k, leaf in enumerate(target, start=1)}
     return reduce(TreeDiagram(n, *shapes, tuple([position[leaf] for leaf in source])))
 
@@ -382,17 +380,16 @@ def base_addresses(n: int, max_len: int):
         yield from itertools.product(range(1, n + 1), repeat=length)
 
 
-def relation_instances(n: int, theory_name: str, max_addr: int = 2, families=None):
-    """All instances of the named families at base addresses up to max_addr."""
-    if families is None:
-        families = CATALAN_FAMILIES if theory_name == "c" else SYMMETRIC_FAMILIES
+def relation_instances(n: int, theory_name: str, max_addr: int = 2):
+    """All instances of the theory's families at base addresses up to max_addr."""
+    families = CATALAN_FAMILIES if theory_name == "c" else SYMMETRIC_FAMILIES
     for family in families:
         build = _FAMILY_BUILDERS[family]
         for base in base_addresses(n, max_addr):
             yield from build(n, base)
 
 
-def check_axioms(n: int, theory_name: str, max_addr: int = 2, families=None):
+def check_axioms(n: int, theory_name: str, max_addr: int = 2):
     """Evaluate every relation instance; returns (all passed, report lines).
 
     Each line carries family, n, indices, base address, and PASS/FAIL; a
@@ -401,7 +398,7 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2, families=None):
     _check_size(n, max_addr, "max_addr")
     lines = []
     all_ok = True
-    for inst in relation_instances(n, theory_name, max_addr, families):
+    for inst in relation_instances(n, theory_name, max_addr):
         left = eval_diagram(inst.lhs, n, theory_name)
         right = eval_diagram(inst.rhs, n, theory_name)
         ok = left == right
@@ -458,37 +455,17 @@ def positive_paths(t: Term, n: int) -> list:
     return out
 
 
-def _nest_variable_addresses(i: int, n: int):
-    """Source/target addresses of the pattern variables of regroup rule i.
-
-    Returns a function mapping the source-side path (relative to the rule's
-    root) of a variable position to its target-side path.
-    """
-
-    def to_target(beta: tuple) -> tuple:
-        p = beta[0]
-        if p == i + 1:
-            k = beta[1]
-            rest = beta[2:]
-            if k <= n - 1:
-                return (i, k + 1) + rest
-            return (i + 1,) + rest
-        if p <= i - 1:
-            return beta
-        if p == i:
-            return (i, 1) + beta[1:]
-        return beta
-
-    return to_target
-
-
 def fill_square(t: Term, n: int, m1: Generator, m2: Generator):
     """Close the fork of two distinct positive letters applicable at t.
 
-    Returns (w1, w2, family) with m1+w1 and m2+w2 equal positive words; the
-    pair instantiates exactly one of functoriality, naturality, pentagon, or
-    adjacent associativity, following the case analysis on the two letters'
-    addresses.
+    Returns (w1, w2, family) with m1+w1 and m2+w2 equal positive words: the
+    two sides of one relation instance, each without its first letter.  Of
+    the two letters, `outer` acts at the shorter address and `deep` at the
+    longer.  Orthogonal addresses give functoriality; adjacent indices at
+    one address give `adjacent_assoc`; `deep` = a<n-1> at the nest that
+    `outer` moves gives `pentagon`; every other fork is naturality, with
+    `deep` followed through `outer`'s rule when it acts inside one of the
+    rule's variables.
     """
     if m1 == m2:
         raise TermError("fill_square needs two distinct letters")
@@ -503,45 +480,31 @@ def fill_square(t: Term, n: int, m1: Generator, m2: Generator):
         ):
             raise TermError(f"{format_generator(m)} does not apply at this term")
 
-    a1, a2 = m1.address, m2.address
-    if orthogonal(a1, a2):
+    if orthogonal(m1.address, m2.address):
         return (m2,), (m1,), "functoriality"
 
-    if a1 == a2:
-        i, j = m1.index, m2.index
-        if abs(i - j) == 1:
-            lo, hi = (m1, m2) if i < j else (m2, m1)
-            w_lo = (A(hi.index, a1), A(lo.index, a1))
-            w_hi = (A(lo.index, a1), A(1, a1 + (lo.index,)))
-            if m1 is lo:
-                return w_lo, w_hi, "adjacent-assoc"
-            return w_hi, w_lo, "adjacent-assoc"
-        return (m2,), (m1,), "naturality"
-
-    outer, deep = (m1, m2) if is_prefix(a1, a2) else (m2, m1)
-    rest = deep.address[len(outer.address) :]
-    oi = outer.index
-    if rest == (oi + 1,):
-        if deep.index == n - 1:
-            w_outer = (A(oi, outer.address),)
-            w_deep = (A(oi, outer.address),) + tuple(
-                A(k, outer.address + (oi,)) for k in range(n - 1, 0, -1)
-            )
-            family = "pentagon"
-        else:
-            w_outer = (A(deep.index + 1, outer.address + (oi,)),)
-            w_deep = (outer,)
-            family = "naturality"
+    outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
+    i, base = outer.index, outer.address
+    rest = deep.address[len(base) :]
+    if rest == () and abs(i - deep.index) == 1:
+        inst = adjacent_assoc(n, min(i, deep.index), base)
+    elif rest == (i + 1,) and deep.index == n - 1:
+        inst = pentagon(n, i, base)
     else:
-        to_target = _nest_variable_addresses(oi, n)
-        gamma_path = to_target(rest)
-        w_outer = (A(deep.index, outer.address + gamma_path),)
-        w_deep = (outer,)
-        family = "naturality"
-
-    if outer is m1:
-        return w_outer, w_deep, family
-    return w_deep, w_outer, family
+        if rest == ():  # indices at least 2 apart: disjoint child spans
+            moved = deep
+        elif rest == (i + 1,):  # deep regroups inside the nest outer moves
+            moved = A(deep.index + 1, base + (i,))
+        else:  # deep acts inside a variable of outer's rule
+            rule, depth = theory_for("c", n).rule(f"a{i}"), 1
+            while not isinstance(var := subterm(rule.source, rest[:depth]), Var):
+                depth += 1
+            (gamma,) = variable_addresses(rule.target, var.name)
+            moved = A(deep.index, base + gamma + rest[depth:])
+        lhs, rhs = (outer, moved), (deep, outer)
+        inst = RelationInstance("naturality", n, (i, deep.index), base, lhs, rhs)
+    sides = {inst.lhs[0]: inst.lhs[1:], inst.rhs[0]: inst.rhs[1:]}
+    return sides[m1], sides[m2], inst.family
 
 
 def check_coherence(n: int, max_nodes: int = 4):
@@ -686,7 +649,9 @@ def dual_hexagon_derivation(n: int, i: int):
 
     Returns a list of (justification, word) steps: each word arises from its
     predecessor by one relation substitution plus free reduction, starting at
-    the dual hexagon's left side and ending exactly at its right side.
+    the dual hexagon's left side and ending exactly at its right side.  Each
+    substitution is an instance solved for one letter: `hexagon(n, i)` for
+    the inverse twist, `compatibility(n, i + 1, k)` for each slide.
     """
     target = dual_hexagon(n, i)
     steps = [("start: dual hexagon lhs", free_reduce(target.lhs))]
@@ -699,14 +664,10 @@ def dual_hexagon_derivation(n: int, i: int):
     push("involution: s%d = s%d^-1" % (i, i), word)
 
     # expand S_i via the hexagon, solved for the inverse twist
-    s_inverse_expansion = free_reduce(
-        (A(i),)
-        + (S(1, (i,)),)
-        + (A(i, (), -1),)
-        + tuple(S(k, (i + 1,), -1) for k in range(1, n))
-        + (A(i),)
+    h = hexagon(n, i)
+    word = substitute_once(
+        word, (S(i, (), -1),), free_reduce(h.lhs[1:] + invert_word(h.rhs))
     )
-    word = substitute_once(word, (S(i, (), -1),), s_inverse_expansion)
     push("hexagon: expand the inverse twist", word)
 
     # flip the remaining inverse twists with the involution
@@ -716,11 +677,8 @@ def dual_hexagon_derivation(n: int, i: int):
 
     # slide each twist at child i+1 through the regrouping (compatibility)
     for k in range(1, n - 1):
-        word = substitute_once(
-            word,
-            (S(k, (i + 1,)),),
-            (A(i), S(k + 1, (i,)), A(i, (), -1)),
-        )
+        c = compatibility(n, i + 1, k)
+        word = substitute_once(word, c.rhs[:1], c.lhs + invert_word(c.rhs[1:]))
         push(f"compatibility: slide twist {k} through the regrouping", word)
 
     final = free_reduce(target.rhs)

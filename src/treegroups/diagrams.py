@@ -339,6 +339,8 @@ def _tree_from_json(value):
         return LEAF
     if not isinstance(value, list):
         raise TermError(f"a JSON tree is 0 or a list of trees, not {type(value).__name__}")
+    if not value:
+        raise TermError("a JSON tree is 0 or a non-empty list of trees, not []")
     return tuple(_tree_from_json(c) for c in value)
 
 

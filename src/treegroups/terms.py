@@ -573,10 +573,10 @@ def parse_address(text: str) -> tuple:
     text = text.strip()
     if text == "-" or text == "":
         return ()
-    try:
-        indices = tuple(int(p) for p in text.split("."))
-    except ValueError as exc:
-        raise ParseError(f"bad address text {text!r}") from exc
+    parts = text.split(".")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ParseError(f"bad address text {text!r}")
+    indices = tuple(map(int, parts))
     if any(i < 1 for i in indices):
         raise ParseError(f"address indices must be positive: {text!r}")
     return indices

@@ -101,6 +101,10 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
     code, _, _ = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", "s1[-]")
     assert code == 2
+    # indices are plain ASCII digits, not whatever int() accepts
+    for word in ("a+1[-]", "a1_0[-]", "a\uff11[-]", "a1[+1]", "a1[1_0]"):
+        code, _, err = invoke(capsys, "word", "eval", "--n", "3", "--theory", "c", word)
+        assert code == 2 and "error" in err
 
 
 def test_usage_error_exit_code(capsys):

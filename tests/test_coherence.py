@@ -329,8 +329,17 @@ def test_fill_square_errors():
 
 
 def test_fill_square_closes_every_pair():
-    for n, max_nodes in ((2, 4), (3, 3)):
+    # each square is one instance of the family it names: a pentagon or an
+    # adjacent-assoc square is an instance of that family's builder, and a
+    # square whose deep letter acts inside a variable of the outer letter's
+    # rule is the naturality instance of that variable
+    for n, max_nodes in ((2, 4), (3, 4), (4, 4)):
         theory = catalan_theory(n)
+        built = {
+            frozenset((inst.lhs, inst.rhs)): inst.family
+            for inst in relation_instances(n, "c", max_addr=max_nodes)
+        }
+        seen = set()
         for k in range(max_nodes + 1):
             for t in enumerate_terms(n, k):
                 letters = applicable_positive(t, n)
@@ -346,6 +355,23 @@ def test_fill_square_closes_every_pair():
                     end2 = apply_word_to_term(t, (m2,) + w2, theory)
                     assert end1 is not None and end1 == end2
                     assert words_equal((m1,) + w1, (m2,) + w2, n, "c")
+                    sides = frozenset(((m1,) + w1, (m2,) + w2))
+                    outer, deep = sorted((m1, m2), key=lambda m: len(m.address))
+                    rest = deep.address[len(outer.address) :]
+                    if family in ("pentagon", "adjacent-assoc"):
+                        assert built.get(sides) == family
+                    elif family == "naturality" and rest not in ((), (outer.index + 1,)):
+                        family = "naturality in a variable"
+                        assert sides in [
+                            frozenset((inst.lhs, inst.rhs))
+                            for depth in range(1, len(rest) + 1)
+                            for inst in naturality_instances(
+                                outer, deep, outer.address, rest[depth:], theory
+                            )
+                        ]
+                    seen.add(family)
+        assert seen >= {"pentagon", "naturality in a variable"}
+        assert ("adjacent-assoc" in seen) == (n > 2)
 
 
 def test_relation_instances_sweep():

@@ -254,6 +254,8 @@ def test_diagram_validation():
         {"n": 2, "domain": 0, "range": 0.0, "perm": [1]},
         {"n": 2, "domain": 0, "range": 0, "perm": [True]},
         {"n": True, "domain": 0, "range": 0, "perm": [1]},
+        {"n": 2, "domain": [], "range": 0, "perm": [1]},
+        {"n": 2, "domain": [[], [0, 0]], "range": [[0, 0], 0], "perm": [1, 2, 3]},
     ):
         with pytest.raises(TermError):
             from_json_dict(data)
