@@ -38,6 +38,7 @@ from .terms import (
     subterm,
     underlying_list,
     variable_addresses,
+    variables_in_order,
 )
 from .operators import (
     Operator,
@@ -338,7 +339,7 @@ def naturality_instances(
     src, tgt = (rule.source, rule.target) if rule_gen.sign > 0 else (rule.target, rule.source)
     outer = Generator(rule_gen.kind, rule_gen.index, rule_gen.sign, alpha)
     out = []
-    for name in dict.fromkeys(underlying_list(src)):
+    for name in variables_in_order(src):
         betas = variable_addresses(src, name)
         gammas = variable_addresses(tgt, name)
         lhs = (outer,) + tuple(

@@ -31,6 +31,7 @@ from .terms import (
     is_balanced,
     replace,
     subterm,
+    subterms,
     underlying_list,
     variables_in_order,
 )
@@ -292,24 +293,10 @@ def rewrite_at(t: Term, rule: Rule, address: tuple, forward: bool = True) -> Ter
     return replace(t, address, apply_subst(out, phi))
 
 
-def _all_addresses(t: Term) -> list:
-    out = [()]
-
-    def walk(u: Term, prefix: tuple) -> None:
-        if isinstance(u, Var):
-            return
-        for k, c in enumerate(u.children, start=1):
-            out.append(prefix + (k,))
-            walk(c, prefix + (k,))
-
-    walk(t, ())
-    return out
-
-
 def one_step_rewrites(t: Term, theory: Theory):
     """All terms reachable by one translated rule application (either
     direction, any address)."""
-    for address in _all_addresses(t):
+    for address, _ in subterms(t):
         for rule in theory.rules:
             for forward in (True, False):
                 result = rewrite_at(t, rule, address, forward)

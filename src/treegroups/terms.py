@@ -8,6 +8,11 @@ leaf-labelled n-ary trees.  This module also provides the normal form and
 counting machinery for those trees: the in-order leaf word, the left-comb
 normal form, the rank measure that is zero exactly on left combs, and
 exhaustive shape enumeration checked against the generalized Catalan numbers.
+
+Two walkers visit a term, each with an explicit stack rather than recursion:
+`subterms` yields every (address, subterm) pair in pre-order, and
+`underlying_list` builds the leaf word.  The address and variable queries
+below are read off one or the other.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -173,24 +177,26 @@ def orthogonal(a: Address, b: Address) -> bool:
     return not is_prefix(a, b) and not is_prefix(b, a)
 
 
+def subterms(t: Term):
+    """Every (address, subterm) pair of t in pre-order, which is ascending
+    address order."""
+    stack = [((), t)]
+    while stack:
+        address, u = stack.pop()
+        yield address, u
+        if isinstance(u, App):
+            for k in range(len(u.children), 0, -1):
+                stack.append((address + (k,), u.children[k - 1]))
+
+
 def leaf_addresses(t: Term) -> list:
     """Addresses of all variable leaves, left to right."""
-    out = []
-
-    def walk(u: Term, prefix: tuple) -> None:
-        if isinstance(u, Var):
-            out.append(prefix)
-            return
-        for k, c in enumerate(u.children, start=1):
-            walk(c, prefix + (k,))
-
-    walk(t, ())
-    return out
+    return [a for a, u in subterms(t) if isinstance(u, Var)]
 
 
 def variable_addresses(t: Term, name: str) -> list:
     """Addresses of every occurrence of the named variable, left to right."""
-    return [a for a in leaf_addresses(t) if subterm(t, a) == Var(name)]
+    return [a for a, u in subterms(t) if u == Var(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +205,12 @@ def variable_addresses(t: Term, name: str) -> list:
 
 def support(t: Term) -> frozenset:
     """The set of variable names occurring in t."""
-    return frozenset(variables_in_order(t))
-
-
-def occurrences(t: Term) -> Counter:
-    """Multiplicity of each variable in t."""
-    if isinstance(t, Var):
-        return Counter((t.name,))
-    out: Counter = Counter()
-    for c in t.children:
-        out += occurrences(c)
-    return out
+    return frozenset(underlying_list(t))
 
 
 def variables_in_order(t: Term) -> list:
     """Variable names of t, each once, in order of first occurrence."""
-    out: list = []
-    seen: set = set()
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
-            if u.name not in seen:
-                seen.add(u.name)
-                out.append(u.name)
-            return
-        for c in u.children:
-            walk(c)
-
-    walk(t)
-    return out
+    return list(dict.fromkeys(underlying_list(t)))
 
 
 def is_balanced(s: Term, t: Term) -> bool:
@@ -236,12 +219,8 @@ def is_balanced(s: Term, t: Term) -> bool:
 
 def is_linear_pair(s: Term, t: Term) -> bool:
     """Balanced, and each variable occurs exactly once on each side."""
-    occ_s, occ_t = occurrences(s), occurrences(t)
-    return (
-        set(occ_s) == set(occ_t)
-        and all(v == 1 for v in occ_s.values())
-        and all(v == 1 for v in occ_t.values())
-    )
+    word_s, word_t = underlying_list(s), underlying_list(t)
+    return len(word_s) == len(word_t) == len(set(word_s)) and set(word_s) == set(word_t)
 
 
 def apply_subst(t: Term, subst: dict) -> Term:
@@ -251,7 +230,7 @@ def apply_subst(t: Term, subst: dict) -> Term:
     """
     if isinstance(t, Var):
         return subst.get(t.name, t)
-    return App(t.symbol, tuple(apply_subst(c, subst) for c in t.children))
+    return App(t.symbol, tuple(map(apply_subst, t.children, itertools.repeat(subst))))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +239,14 @@ def apply_subst(t: Term, subst: dict) -> Term:
 
 def underlying_list(t: Term) -> list:
     """The in-order word of leaf variable names of t."""
-    if isinstance(t, Var):
-        return [t.name]
     out: list = []
-    for c in t.children:
-        out.extend(underlying_list(c))
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            out.append(u.name)
+        else:
+            stack.extend(reversed(u.children))
     return out
 
 
@@ -294,9 +276,7 @@ def lmb(labels, n: int) -> Term:
 
 def term_length(t: Term) -> int:
     """Number of leaves of t."""
-    if isinstance(t, Var):
-        return 1
-    return sum(term_length(c) for c in t.children)
+    return len(underlying_list(t))
 
 
 def rank(t: Term) -> int:
@@ -304,36 +284,31 @@ def rank(t: Term) -> int:
 
     rank(t) == 0 exactly when t is the left comb on its leaf word.  At each
     node with children t_1..t_n the contribution is
-    sum_{i=2}^{n} (i-1) * length(t_i) - n(n-1)/2.
+    sum_{i=2}^{n} (i-1) * length(t_i) - n(n-1)/2
+    = sum_{i=2}^{n} (i-1) * (length(t_i) - 1).
     """
-    if isinstance(t, Var):
-        return 0
-    n = len(t.children)
-    total = sum(rank(c) for c in t.children)
-    total += sum((i - 1) * term_length(c) for i, c in enumerate(t.children, start=1))
-    return total - n * (n - 1) // 2
+    return sum(
+        i * (term_length(c) - 1)
+        for _, u in subterms(t)
+        if isinstance(u, App)
+        for i, c in enumerate(u.children)
+    )
 
 
 def assoc_redexes(t: Term) -> list:
     """All (rule index, address) pairs where a forward regrouping applies.
 
     The rule with index i moves an application node from child position i+1
-    into child position i; every such step strictly decreases rank.
+    into child position i; every such step strictly decreases rank.  The
+    pairs come in (address, index) order.
     """
-    out = []
-
-    def walk(u: Term, prefix: tuple) -> None:
-        if isinstance(u, Var):
-            return
-        n = len(u.children)
-        for i in range(1, n):
-            if isinstance(u.children[i], App):
-                out.append((i, prefix))
-        for k, c in enumerate(u.children, start=1):
-            walk(c, prefix + (k,))
-
-    walk(t, ())
-    return sorted(out, key=lambda p: (p[1], p[0]))
+    return [
+        (i, a)
+        for a, u in subterms(t)
+        if isinstance(u, App)
+        for i in range(1, len(u.children))
+        if isinstance(u.children[i], App)
+    ]
 
 
 def apply_assoc(t: Term, i: int, address: Address) -> Term:
@@ -454,15 +429,12 @@ def enumerate_terms(n: int, k: int, labels=None) -> list:
 
 
 def format_term(t: Term, signature: Signature) -> str:
-    if signature.single_symbol is not None:
-        if isinstance(t, Var):
-            return t.name
-        inner = " ".join(format_term(c, signature) for c in t.children)
-        return f"({inner})"
     if isinstance(t, Var):
         return t.name
-    inner = ",".join(format_term(c, signature) for c in t.children)
-    return f"{t.symbol}({inner})"
+    kids = map(format_term, t.children, itertools.repeat(signature))
+    if signature.single_symbol is not None:
+        return f"({' '.join(kids)})"
+    return f"{t.symbol}({','.join(kids)})"
 
 
 def _tokenize(text: str) -> list:
@@ -571,7 +543,7 @@ def format_address(address: Address) -> str:
 
 def parse_address(text: str) -> tuple:
     text = text.strip()
-    if text == "-" or text == "":
+    if text == "-":
         return ()
     parts = text.split(".")
     if not all(p.isascii() and p.isdigit() for p in parts):

@@ -101,8 +101,8 @@ def test_parse_error_exit_code(capsys):
     assert "error" in err
     code, _, _ = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", "s1[-]")
     assert code == 2
-    # indices are plain ASCII digits, not whatever int() accepts
-    for word in ("a+1[-]", "a1_0[-]", "a\uff11[-]", "a1[+1]", "a1[1_0]"):
+    # indices are plain ASCII digits, not whatever int() accepts; the root is "-"
+    for word in ("a+1[-]", "a1_0[-]", "a\uff11[-]", "a1[+1]", "a1[1_0]", "a1[]"):
         code, _, err = invoke(capsys, "word", "eval", "--n", "3", "--theory", "c", word)
         assert code == 2 and "error" in err
 

@@ -30,10 +30,12 @@ from treegroups.terms import (
     replace,
     step_rank_drop,
     subterm,
+    subterms,
     support,
     term_length,
     underlying_list,
     variable_addresses,
+    variables_in_order,
 )
 
 from subst_reference import compose_subst
@@ -97,6 +99,8 @@ def test_support_and_balance():
     assert is_balanced(s, t)
     assert is_linear_pair(s, t)
     assert not is_linear_pair(cat(v("x"), v("x")), cat(v("x"), v("x")))
+    assert not is_linear_pair(s, cat(v("y"), v("y")))
+    assert not is_linear_pair(s, cat(v("y"), cat(v("x"), v("y"))))
     assert not is_balanced(cat(v("x"), v("y")), cat(v("x"), v("x")))
 
 
@@ -296,6 +300,9 @@ def test_addresses_text():
         parse_address("0.1")
     with pytest.raises(ParseError):
         parse_address("a.b")
+    # the root is written "-" only; an empty address is not a second spelling
+    with pytest.raises(ParseError):
+        parse_address("")
 
 
 def test_variable_and_leaf_addresses():
@@ -303,6 +310,40 @@ def test_variable_and_leaf_addresses():
     assert leaf_addresses(t) == [(1,), (2, 1), (2, 2)]
     assert variable_addresses(t, "x3") == [(2, 2)]
     assert variable_addresses(cat(v("x"), v("x")), "x") == [(1,), (2,)]
+
+
+def _walker_terms():
+    for n in (2, 3, 4):
+        for k in range(5):
+            yield from enumerate_terms(n, k)
+    yield T_FG
+    yield App("G", (T_FG, Var("w"), App("F", (Var("x"), T_FG))))
+    yield App("F", (App("F", (Var("x"), Var("x"))), Var("y")))
+
+
+def test_subterms_walk_in_address_order():
+    for t in _walker_terms():
+        pairs = list(subterms(t))
+        addresses = [a for a, _ in pairs]
+        assert addresses[0] == ()
+        assert all(a < b for a, b in zip(addresses, addresses[1:]))
+        assert all(u == subterm(t, a) for a, u in pairs)
+        leaves = [a for a, u in pairs if isinstance(u, Var)]
+        assert len(leaves) == term_length(t)
+        assert set(addresses) == {a[:i] for a in leaves for i in range(len(a) + 1)}
+        redexes = assoc_redexes(t)
+        assert redexes == sorted(redexes, key=lambda p: (p[1], p[0]))
+
+
+def test_leaf_word_queries_on_a_deep_comb():
+    # one Python frame per level would pass the default recursion limit
+    names = [f"x{j}" for j in range(1, 3001)]
+    comb = lmb(names, 2)
+    assert underlying_list(comb) == names
+    assert variables_in_order(comb) == names
+    assert support(comb) == frozenset(names)
+    assert term_length(comb) == 3000
+    assert is_linear_pair(comb, comb)
 
 
 def test_signature_validation():
