@@ -139,7 +139,7 @@ def check_letter(g: Generator, theory: Theory) -> None:
         raise TermError(f"generator index {g.index} out of range for n={n}")
     if any(not 1 <= step <= n for step in g.address):
         raise TermError(f"generator address {g.address} out of range for n={n}")
-    if g.kind == "s" and theory.kind != "symmetric-catalan":
+    if g.kind == "s" and theory.name != "sc":
         raise TermError("twist generators need the symmetric theory")
 
 

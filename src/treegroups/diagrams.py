@@ -57,31 +57,6 @@ def leaf_count(tree) -> int:
     return sum(leaf_count(child) for child in tree)
 
 
-def replace_node(tree, address, new):
-    if not address:
-        return new
-    k = address[0]
-    kids = list(tree)
-    kids[k - 1] = replace_node(kids[k - 1], address[1:], new)
-    return tuple(kids)
-
-
-def expand(tree, leaf_index: int, n: int):
-    """Replace the leaf with the given 1-based index by an n-caret."""
-    addrs = leaves(tree)
-    if not 1 <= leaf_index <= len(addrs):
-        raise TermError(f"leaf index {leaf_index} out of range")
-    return replace_node(tree, addrs[leaf_index - 1], caret(n))
-
-
-def is_expansion_of(big, small) -> bool:
-    if is_leaf(small):
-        return True
-    if is_leaf(big):
-        return False
-    return all(is_expansion_of(b, s) for b, s in zip(big, small))
-
-
 def minimal_common_expansion(t1, t2, n: int):
     """The join of two arity-n trees: a leaf gives the other tree, two
     internal nodes join child by child.  It expands both arguments, and
@@ -125,6 +100,8 @@ class TreeDiagram:
         m = _checked_leaf_count(self.domain, self.n)
         if _checked_leaf_count(self.range, self.n) != m:
             raise TermError("domain and range leaf counts differ")
+        if type(self.perm) is not tuple or not all(type(y) is int for y in self.perm):
+            raise TermError("perm must be a tuple of integers")
         if sorted(self.perm) != list(range(1, m + 1)):
             raise TermError("perm is not a bijection on the leaf indices")
 
@@ -180,14 +157,6 @@ def _grow(partner, pairing, old, new):
     for k in pairing:
         grown_pairing.extend(range(first[k - 1], first[k]))
     return _graft(partner, iter(grafts)), tuple(grown_pairing)
-
-
-def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
-    """Simple expansion: caret the domain leaf and its partner, splicing the
-    n new leaf pairs in child order."""
-    domain = expand(d.domain, leaf_index, d.n)
-    range_, perm = _grow(d.range, d.perm, d.domain, domain)
-    return TreeDiagram(d.n, domain, range_, perm)
 
 
 def _tree_of_leaves(addresses, n: int):
@@ -313,17 +282,6 @@ def to_diagram(op: Operator, n: int) -> TreeDiagram:
     )
 
 
-def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
-    k = rng.randint(0, max_carets)
-    t1, t2 = LEAF, LEAF
-    for _ in range(k):
-        t1 = expand(t1, rng.randint(1, leaf_count(t1)), n)
-        t2 = expand(t2, rng.randint(1, leaf_count(t2)), n)
-    perm = list(range(1, k * (n - 1) + 2))
-    rng.shuffle(perm)
-    return reduce(TreeDiagram(n, t1, t2, tuple(perm)))
-
-
 # ---------------------------------------------------------------------------
 # Exchange formats
 
@@ -364,8 +322,6 @@ def from_json_dict(data: dict) -> TreeDiagram:
     n, perm = data["n"], data["perm"]
     if type(n) is not int or not isinstance(perm, list):
         raise TermError("a JSON diagram needs an integer n and a list perm")
-    if not all(type(y) is int for y in perm):
-        raise TermError("a JSON diagram's perm lists integers")
     try:
         domain, range_ = _tree_from_json(data["domain"]), _tree_from_json(data["range"])
     except RecursionError:

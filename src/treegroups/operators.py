@@ -11,12 +11,11 @@ which absorbs everything.
 The module also builds the two equational theories used throughout the
 package: for an n-ary tuple symbol, the regrouping theory (n-1 rules moving
 a nested tuple one child position to the left) and its symmetric extension
-(adjacent leaf transpositions), together with a congruence test.
+(adjacent leaf transpositions).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -31,8 +30,6 @@ from .terms import (
     is_balanced,
     replace,
     subterm,
-    subterms,
-    underlying_list,
     variables_in_order,
 )
 from .unify import match, mgu
@@ -206,12 +203,11 @@ def eval_word(trs, signature: Signature) -> Operator:
 class Theory:
     """A named set of balanced rules over one signature.
 
-    kind is "catalan", "symmetric-catalan", or "generic"; the first two get
-    exact congruence oracles.
+    name is "c" or "sc" for the regrouping theory and its symmetric
+    extension; n is their arity, and None for a generic theory.
     """
 
     name: str
-    kind: str
     signature: Signature
     rules: tuple
     n: int | None = None
@@ -262,7 +258,7 @@ def swap_rule(n: int, i: int) -> Rule:
 def catalan_theory(n: int) -> Theory:
     sig = catalan_signature(n)
     rules = tuple(regroup_rule(n, i) for i in range(1, n))
-    return Theory("c", "catalan", sig, rules, n)
+    return Theory("c", sig, rules, n)
 
 
 def symmetric_catalan_theory(n: int) -> Theory:
@@ -270,15 +266,15 @@ def symmetric_catalan_theory(n: int) -> Theory:
     rules = tuple(regroup_rule(n, i) for i in range(1, n)) + tuple(
         swap_rule(n, i) for i in range(1, n)
     )
-    return Theory("sc", "symmetric-catalan", sig, rules, n)
+    return Theory("sc", sig, rules, n)
 
 
 def generic_theory(name: str, signature: Signature, rules) -> Theory:
-    return Theory(name, "generic", signature, tuple(rules))
+    return Theory(name, signature, tuple(rules))
 
 
 # ---------------------------------------------------------------------------
-# Rewriting and congruence
+# Rewriting
 
 
 def rewrite_at(t: Term, rule: Rule, address: tuple, forward: bool = True) -> Term | None:
@@ -291,59 +287,3 @@ def rewrite_at(t: Term, rule: Rule, address: tuple, forward: bool = True) -> Ter
     if phi is None:
         return None
     return replace(t, address, apply_subst(out, phi))
-
-
-def one_step_rewrites(t: Term, theory: Theory):
-    """All terms reachable by one translated rule application (either
-    direction, any address)."""
-    for address, _ in subterms(t):
-        for rule in theory.rules:
-            for forward in (True, False):
-                result = rewrite_at(t, rule, address, forward)
-                if result is not None:
-                    yield result
-
-
-def congruent(theory: Theory, t: Term, u: Term, budget: int = 20000):
-    """Decide whether t and u are equal modulo the theory.
-
-    For the tuple theories the exact oracles apply: equality of leaf words
-    for the regrouping theory, equality of leaf multisets for the symmetric
-    one.  Generic theories get a bounded bidirectional search; the return
-    value is then True, False (frontier exhausted), or None when the node
-    budget ran out before an answer.
-    """
-    if theory.kind == "catalan":
-        return underlying_list(t) == underlying_list(u)
-    if theory.kind == "symmetric-catalan":
-        return Counter(underlying_list(t)) == Counter(underlying_list(u))
-
-    if t == u:
-        return True
-    left = {t}
-    right = {u}
-    # ordered frontiers keep the search deterministic run to run
-    frontier_left, frontier_right = [t], [u]
-    visited = 2
-    while frontier_left or frontier_right:
-        expand_left = bool(frontier_left) and (
-            not frontier_right or len(frontier_left) <= len(frontier_right)
-        )
-        frontier = frontier_left if expand_left else frontier_right
-        own, other = (left, right) if expand_left else (right, left)
-        new: list = []
-        for term in frontier:
-            for nxt in one_step_rewrites(term, theory):
-                if nxt in other:
-                    return True
-                if nxt not in own:
-                    own.add(nxt)
-                    new.append(nxt)
-                    visited += 1
-                    if visited > budget:
-                        return None
-        if expand_left:
-            frontier_left = new
-        else:
-            frontier_right = new
-    return False

@@ -7,7 +7,9 @@ unique and equal to `treegroups.diagrams.reduce`, which reaches it by a
 different route (one walk over partner addresses).
 """
 
-from treegroups.diagrams import LEAF, TreeDiagram, is_leaf, replace_node
+from treegroups.diagrams import LEAF, TreeDiagram, is_leaf
+
+from diagram_reference import replace_node
 
 
 def _carets(tree) -> list:

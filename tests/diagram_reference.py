@@ -1,0 +1,61 @@
+"""Tree and diagram helpers for the tests.
+
+`expand` carets one leaf of a tree, `expand_diagram` makes a simple
+expansion of a diagram, and `random_reduced_diagram` draws a reduced
+diagram from random carets.  `expand_diagram` works by leaf-index
+arithmetic, not by the grafting that `treegroups.diagrams.multiply` uses, so
+the tests that feed it unreduced factors check the product against a
+different route.
+"""
+
+from treegroups.diagrams import LEAF, TreeDiagram, caret, is_leaf, leaf_count, leaves, reduce
+from treegroups.terms import TermError
+
+
+def replace_node(tree, address, new):
+    if not address:
+        return new
+    k = address[0]
+    kids = list(tree)
+    kids[k - 1] = replace_node(kids[k - 1], address[1:], new)
+    return tuple(kids)
+
+
+def expand(tree, leaf_index: int, n: int):
+    """Replace the leaf with the given 1-based index by an n-caret."""
+    addrs = leaves(tree)
+    if not 1 <= leaf_index <= len(addrs):
+        raise TermError(f"leaf index {leaf_index} out of range")
+    return replace_node(tree, addrs[leaf_index - 1], caret(n))
+
+
+def is_expansion_of(big, small) -> bool:
+    if is_leaf(small):
+        return True
+    if is_leaf(big):
+        return False
+    return all(is_expansion_of(b, s) for b, s in zip(big, small))
+
+
+def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
+    """Simple expansion: caret domain leaf i and its partner, range leaf
+    k = perm[i-1], and pair the n new leaves in child order.  Range indices
+    after k shift by n-1."""
+    n, i = d.n, leaf_index
+    domain = expand(d.domain, i, n)
+    k = d.perm[i - 1]
+    range_ = expand(d.range, k, n)
+    shifted = [y if y < k else y + n - 1 for y in d.perm]
+    perm = shifted[: i - 1] + list(range(k, k + n)) + shifted[i:]
+    return TreeDiagram(n, domain, range_, tuple(perm))
+
+
+def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
+    k = rng.randint(0, max_carets)
+    t1, t2 = LEAF, LEAF
+    for _ in range(k):
+        t1 = expand(t1, rng.randint(1, leaf_count(t1)), n)
+        t2 = expand(t2, rng.randint(1, leaf_count(t2)), n)
+    perm = list(range(1, k * (n - 1) + 2))
+    rng.shuffle(perm)
+    return reduce(TreeDiagram(n, t1, t2, tuple(perm)))

@@ -32,12 +32,10 @@ from treegroups.operators import (
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
-    expand,
     identity_diagram,
     invert_diagram,
     leaf_count,
     multiply,
-    random_reduced_diagram,
     reduce,
     to_diagram,
 )
@@ -58,6 +56,7 @@ from treegroups.coherence import (
 )
 
 from collapse_reference import all_reduction_endpoints
+from diagram_reference import expand, random_reduced_diagram
 from seed_reference import seed_reduce
 
 

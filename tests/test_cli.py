@@ -1,5 +1,9 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
+import treegroups
 from treegroups import cli, coherence
 from treegroups.cli import run
 from treegroups.terms import catalan_signature, format_term, parse_term
@@ -266,3 +270,22 @@ def test_round_trip_printed_term(capsys):
     printed = out.splitlines()[0]
     sig = catalan_signature(3)
     assert parse_term(printed, sig) == parse_term("((x1 x2 x3) x4 x5)", sig)
+
+
+def test_readme_examples(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "treegroups"
+        code, out, err = invoke(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        if argv[1:3] == ["trees", "count"]:
+            assert out.strip() == "3 3 OK"
+
+
+def test_exports_resolve():
+    for name in treegroups.__all__:
+        assert getattr(treegroups, name) is not None, name

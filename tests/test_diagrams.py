@@ -17,19 +17,15 @@ from treegroups.diagrams import (
     TreeDiagram,
     caret,
     diagram_power,
-    expand,
-    expand_diagram,
     from_json_dict,
     identity_diagram,
     invert_diagram,
-    is_expansion_of,
     is_order_preserving,
     is_reduced,
     leaf_count,
     leaves,
     minimal_common_expansion,
     multiply,
-    random_reduced_diagram,
     reduce,
     to_diagram,
     to_dot,
@@ -39,6 +35,7 @@ from treegroups.diagrams import (
 )
 
 from collapse_reference import all_reduction_endpoints
+from diagram_reference import expand, expand_diagram, is_expansion_of, random_reduced_diagram
 
 
 def v(name):
@@ -242,6 +239,11 @@ def test_diagram_validation():
     for n in (1, 0, -3, True):
         with pytest.raises(TermError):
             TreeDiagram(n, LEAF, LEAF, (1,))
+    # a perm is a tuple of ints: a list is unhashable, floats do not survive
+    # JSON, and a bool is not an index
+    for perm in ([2, 1], (2.0, 1.0), (2.0, True)):
+        with pytest.raises(TermError):
+            TreeDiagram(2, caret(2), caret(2), perm)
     deep = 0
     for _ in range(1500):
         deep = [deep, 0]

@@ -22,17 +22,16 @@ from treegroups.operators import (
     canonical,
     catalan_theory,
     compose,
-    congruent,
     eval_word,
     generic_theory,
     identity_operator,
     invert,
-    one_step_rewrites,
     rewrite_at,
     symmetric_catalan_theory,
     translated_seed,
 )
 
+from congruence_reference import congruent, one_step_rewrites
 from seed_reference import seed_reduce
 
 

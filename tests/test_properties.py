@@ -15,8 +15,6 @@ from treegroups.coherence import Generator, eval_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
-    expand,
-    expand_diagram,
     leaf_count,
     multiply,
     reduce,
@@ -35,6 +33,7 @@ from treegroups.operators import (
 from treegroups.terms import App, Signature, Var
 
 from collapse_reference import all_reduction_endpoints
+from diagram_reference import expand, expand_diagram
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -113,7 +112,7 @@ THEORIES = (
 
 
 def letters(theory):
-    if theory.kind == "generic":
+    if theory is GENERIC:
         steps = st.sampled_from(
             [(s, k) for s, arity in theory.signature.arities.items() for k in range(1, arity + 1)]
         )
