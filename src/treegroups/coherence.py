@@ -50,8 +50,8 @@ from .operators import (
     symmetric_catalan_theory,
 )
 from .diagrams import (
-    LEAF,
     TreeDiagram,
+    TreePair,
     identity_diagram,
     multiply,
     reduce,
@@ -152,68 +152,23 @@ def word_operator(word, theory: Theory) -> Operator:
     return eval_word([generator_rule(g, theory) for g in word], theory.signature)
 
 
-def _freeze(tree, split: dict, order: list):
-    """Nested lists as nested tuples, expanding each leaf id recorded in
-    `split` into its caret and appending the other leaf ids to `order`."""
-
-    def walk(node):
-        if type(node) is int:
-            if node not in split:
-                order.append(node)
-                return LEAF
-            node = split[node]
-        return tuple(map(walk, node))
-
-    return walk(tree)
-
-
 def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
     """Evaluate a word to its reduced tree diagram by local action.
 
-    The pair starts as (leaf, leaf), both leaf 0.  The range tree is the
-    current term's shape, nested lists with integer ids at the leaves.  A
-    letter walks the range along its address and rewrites one node in
-    place: `a<i>` moves the nest at child i+1 one position left, `A<i>`
-    moves the nest at child i one position right, `s<i>` swaps children i
-    and i+1.  A leaf where a node is needed is careted into n fresh ids,
-    recorded in `split`; the domain is leaf 0 with every recorded caret, so
-    the pair is always the most general one the prefix acts on.  The frozen
-    pair is reduced once; the result equals
-    `to_diagram(word_operator(word, theory), n)`.
+    Each letter acts on a `TreePair` that starts as the identity, rewriting
+    one node of its range in place and careting leaves where the letter
+    needs nodes.  The pair is frozen and reduced once at the end; the result
+    equals `to_diagram(word_operator(word, theory), n)`.
     """
     theory = theory_for(theory_name, n)
-    range_ = [0]  # holds the range tree at index 0
-    split = {}
-    fresh = itertools.count(1)
-
-    def internal(parent: list, k: int) -> list:
-        """parent[k], careted first if it is a leaf."""
-        leaf = parent[k]
-        if type(leaf) is not int:
-            return leaf
-        node = parent[k] = [next(fresh) for _ in range(n)]
-        split[leaf] = tuple(node)
-        return node
-
+    pair = TreePair(identity_diagram(n))
     for g in word:
         check_letter(g, theory)
-        parent, k = range_, 0
-        for step in g.address:
-            parent, k = internal(parent, k), step - 1
-        node, i = internal(parent, k), g.index
         if g.kind == "s":
-            node[i - 1], node[i] = node[i], node[i - 1]
-        elif g.sign > 0:
-            nest = internal(node, i)
-            node[i - 1 : i + 1] = [[node[i - 1]] + nest[:-1], nest[-1]]
+            pair.swap(g.address, g.index)
         else:
-            nest = internal(node, i - 1)
-            node[i - 1 : i + 1] = [nest[0], nest[1:] + [node[i]]]
-
-    source, target = [], []
-    shapes = _freeze(0, split, source), _freeze(range_[0], split, target)
-    position = {leaf: k for k, leaf in enumerate(target, start=1)}
-    return reduce(TreeDiagram(n, *shapes, tuple([position[leaf] for leaf in source])))
+            pair.regroup(g.address, g.index, g.sign)
+    return reduce(pair.freeze())
 
 
 def words_equal(w1, w2, n: int, theory_name: str = "sc") -> bool:

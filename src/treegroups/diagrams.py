@@ -2,16 +2,16 @@
 
 A tree is a nested tuple: the empty tuple is a leaf, an internal node is a
 tuple of exactly n subtrees (the arity travels alongside, not in the value).
-Every operation here works on that one form by structural recursion.
 A diagram is a triple (domain tree, range tree, perm) with equal leaf
 counts, perm sending the i-th domain leaf (in left-to-right order) to the
 perm[i]-th range leaf.  Diagrams modulo common expansion form a group; the
 canonical representative is the reduced diagram.  `reduce` reaches it in
 one post-order walk of the domain, each leaf carrying its partner's range
 address, collapsing every caret whose leaves carry the children of one
-range caret.  Two diagrams multiply by growing each factor, in one pass,
-until the first range and the second domain are both their minimal common
-expansion.
+range caret.  Letters and whole diagrams act on a mutable `TreePair`, whose
+range is nested lists of leaf ids, by substitution at nodes of that range,
+careting leaves where they need nodes: `multiply` lets the second factor
+act on the first, `coherence.eval_diagram` each letter on the identity.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -19,6 +19,7 @@ shapes plus the leaf permutation induced by the variable correspondence.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -49,23 +50,6 @@ def leaves(tree) -> tuple:
 
     walk(tree, ())
     return tuple(out)
-
-
-def leaf_count(tree) -> int:
-    if is_leaf(tree):
-        return 1
-    return sum(leaf_count(child) for child in tree)
-
-
-def minimal_common_expansion(t1, t2, n: int):
-    """The join of two arity-n trees: a leaf gives the other tree, two
-    internal nodes join child by child.  It expands both arguments, and
-    every common expansion expands it."""
-    if t1 == t2 or is_leaf(t2):
-        return t1
-    if is_leaf(t1):
-        return t2
-    return tuple(minimal_common_expansion(a, b, n) for a, b in zip(t1, t2))
 
 
 def _checked_leaf_count(tree, n: int) -> int:
@@ -106,6 +90,14 @@ class TreeDiagram:
             raise TermError("perm is not a bijection on the leaf indices")
 
 
+def _trusted(n: int, domain, range_, perm) -> TreeDiagram:
+    """A diagram from parts this module built itself, without the checks of
+    `__post_init__`; the public constructor and `from_json_dict` keep them."""
+    d = object.__new__(TreeDiagram)
+    vars(d).update(n=n, domain=domain, range=range_, perm=perm)
+    return d
+
+
 def identity_diagram(n: int) -> TreeDiagram:
     return TreeDiagram(n, LEAF, LEAF, (1,))
 
@@ -115,48 +107,6 @@ def _inverse(perm) -> tuple:
     for i, y in enumerate(perm, start=1):
         out[y - 1] = i
     return tuple(out)
-
-
-def _hanging(old, new, out: list) -> None:
-    """Append the subtree of `new` hanging at each leaf of `old`, in leaf
-    order; `new` must expand `old`."""
-    if is_leaf(old):
-        out.append(new)
-        return
-    for a, b in zip(old, new):
-        _hanging(a, b, out)
-
-
-def _graft(node, grafts):
-    """`node` with its leaves replaced, left to right, by the trees that the
-    iterator `grafts` yields."""
-    if is_leaf(node):
-        return next(grafts)
-    return tuple(_graft(child, grafts) for child in node)
-
-
-def _grow(partner, pairing, old, new):
-    """Grow `partner` alongside its paired tree's growth from `old` to `new`.
-
-    pairing[j - 1] is the partner leaf paired with leaf j of `old`.  The
-    subtree of `new` hanging at leaf j is grafted onto that partner leaf,
-    and the new leaves pair up in child order.  Returns the grown partner
-    and the pairing of the leaves of `new` with its leaves.
-    """
-    if new == old:
-        return partner, pairing
-    hanging: list = []
-    _hanging(old, new, hanging)
-    grafts = [LEAF] * len(pairing)
-    for j, k in enumerate(pairing):
-        grafts[k - 1] = hanging[j]
-    first = [1]  # first[k - 1]: the first grown leaf under partner leaf k
-    for tree in grafts:
-        first.append(first[-1] + leaf_count(tree))
-    grown_pairing = []
-    for k in pairing:
-        grown_pairing.extend(range(first[k - 1], first[k]))
-    return _graft(partner, iter(grafts)), tuple(grown_pairing)
 
 
 def _tree_of_leaves(addresses, n: int):
@@ -211,7 +161,7 @@ def reduce(d: TreeDiagram) -> TreeDiagram:
         return d
     order = sorted(carried)
     rank = {address: i for i, address in enumerate(order, start=1)}
-    return TreeDiagram(
+    return _trusted(
         n, domain, _tree_of_leaves(order, n), tuple([rank[a] for a in carried])
     )
 
@@ -221,22 +171,118 @@ def is_reduced(d: TreeDiagram) -> bool:
 
 
 def invert_diagram(d: TreeDiagram) -> TreeDiagram:
-    return reduce(TreeDiagram(d.n, d.range, d.domain, _inverse(d.perm)))
+    return reduce(_trusted(d.n, d.range, d.domain, _inverse(d.perm)))
+
+
+def _graft(tree, items, perm) -> list:
+    """`tree` as nested lists, its leaf perm[j] replaced by items[j]."""
+    placed = [None] * len(perm)
+    for item, k in zip(items, perm):
+        placed[k - 1] = item
+    grafts = iter(placed)
+
+    def walk(node):
+        return list(map(walk, node)) if node else next(grafts)
+
+    return walk(tree)
+
+
+class TreePair:
+    """A tree pair that letters and diagrams act on in place.
+
+    The domain is a diagram's domain tuple, its leaf j (from 0) with id j.
+    The range is nested lists of leaf ids, held at `range[0]` so that its
+    root is a child like any other; the leaf bijection travels on the ids.
+    Where an action needs a node, a range leaf is careted into n fresh ids
+    and the caret recorded in `split`; the domain grows by the same caret,
+    so the pair is the most general one the actions so far apply to.
+    """
+
+    def __init__(self, d: TreeDiagram):
+        self.n = d.n
+        self.domain = d.domain
+        self.range = [_graft(d.range, range(len(d.perm)), d.perm)]
+        self.split = {}
+        self.fresh = itertools.count(len(d.perm))
+
+    def _internal(self, parent: list, k: int) -> list:
+        """parent[k], careted first if it is a leaf."""
+        leaf = parent[k]
+        if type(leaf) is not int:
+            return leaf
+        node = parent[k] = [next(self.fresh) for _ in range(self.n)]
+        self.split[leaf] = tuple(node)
+        return node
+
+    def _node(self, address) -> list:
+        parent, k = self.range, 0
+        for step in address:
+            parent, k = self._internal(parent, k), step - 1
+        return self._internal(parent, k)
+
+    def regroup(self, address, i: int, sign: int) -> None:
+        """`a<i>` at `address` moves the nest at child i+1 one position
+        left; `A<i>` moves the nest at child i one position right."""
+        node = self._node(address)
+        if sign > 0:
+            nest = self._internal(node, i)
+            node[i - 1 : i + 1] = [[node[i - 1]] + nest[:-1], nest[-1]]
+        else:
+            nest = self._internal(node, i - 1)
+            node[i - 1 : i + 1] = [nest[0], nest[1:] + [node[i]]]
+
+    def swap(self, address, i: int) -> None:
+        """`s<i>` at `address` swaps children i and i+1."""
+        node = self._node(address)
+        node[i - 1], node[i] = node[i], node[i - 1]
+
+    def act(self, d: TreeDiagram) -> None:
+        """Follow the pair by `d`: match d's domain against the range,
+        careting where it needs a node, and graft the subtrees hanging
+        below its leaves into d's range by d's perm."""
+        if d.n != self.n:
+            raise TermError("cannot multiply diagrams of different arity")
+        hanging = []
+
+        def match(node, parent, k):
+            if not node:
+                hanging.append(parent[k])
+                return
+            below = self._internal(parent, k)
+            for j, child in enumerate(node):
+                match(child, below, j)
+
+        match(d.domain, self.range, 0)
+        self.range[0] = _graft(d.range, hanging, d.perm)
+
+    def freeze(self) -> TreeDiagram:
+        """The unreduced diagram of the pair: both trees as tuples with
+        every split id expanded, and the perm read off the leaf ids."""
+        split, ids, order = self.split, itertools.count(), []
+
+        def walk(node):
+            if type(node) is not int:
+                if node:
+                    return tuple(map(walk, node))
+                node = next(ids)  # a domain leaf
+            if node in split:
+                return tuple(map(walk, split[node]))
+            order.append(node)
+            return LEAF
+
+        domain = walk(self.domain)
+        m = len(order)
+        range_ = walk(self.range[0])
+        position = {leaf: k for k, leaf in enumerate(order[m:], start=1)}
+        perm = tuple([position[leaf] for leaf in order[:m]])
+        return _trusted(self.n, domain, range_, perm)
 
 
 def multiply(d1: TreeDiagram, d2: TreeDiagram) -> TreeDiagram:
-    """The diagram "d1 followed by d2", reduced.
-
-    d1 grows along its range and d2 along its domain, each in one pass, to
-    the minimal common expansion of the two; the permutations then compose.
-    """
-    if d1.n != d2.n:
-        raise TermError("cannot multiply diagrams of different arity")
-    middle = minimal_common_expansion(d1.range, d2.domain, d1.n)
-    domain, middle_to_domain = _grow(d1.domain, _inverse(d1.perm), d1.range, middle)
-    range_, middle_to_range = _grow(d2.range, d2.perm, d2.domain, middle)
-    perm = tuple(middle_to_range[i - 1] for i in _inverse(middle_to_domain))
-    return reduce(TreeDiagram(d1.n, domain, range_, perm))
+    """The diagram "d1 followed by d2", reduced: d2 acts on the pair of d1."""
+    pair = TreePair(d1)
+    pair.act(d2)
+    return reduce(pair.freeze())
 
 
 def diagram_power(d: TreeDiagram, exponent: int) -> TreeDiagram:

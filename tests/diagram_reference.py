@@ -1,15 +1,21 @@
 """Tree and diagram helpers for the tests.
 
-`expand` carets one leaf of a tree, `expand_diagram` makes a simple
-expansion of a diagram, and `random_reduced_diagram` draws a reduced
-diagram from random carets.  `expand_diagram` works by leaf-index
-arithmetic, not by the grafting that `treegroups.diagrams.multiply` uses, so
-the tests that feed it unreduced factors check the product against a
-different route.
+`leaf_count` counts the leaves of a tree, `expand` carets one of them,
+`expand_diagram` makes a simple expansion of a diagram, and
+`random_reduced_diagram` draws a reduced diagram from random carets.
+`expand_diagram` works by leaf-index arithmetic, not by the `TreePair` that
+`treegroups.diagrams.multiply` acts on, so the tests that feed it unreduced
+factors check the product against a different route.
 """
 
-from treegroups.diagrams import LEAF, TreeDiagram, caret, is_leaf, leaf_count, leaves, reduce
+from treegroups.diagrams import LEAF, TreeDiagram, caret, is_leaf, leaves, reduce
 from treegroups.terms import TermError
+
+
+def leaf_count(tree) -> int:
+    if is_leaf(tree):
+        return 1
+    return sum(leaf_count(child) for child in tree)
 
 
 def replace_node(tree, address, new):

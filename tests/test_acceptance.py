@@ -34,7 +34,6 @@ from treegroups.diagrams import (
     TreeDiagram,
     identity_diagram,
     invert_diagram,
-    leaf_count,
     multiply,
     reduce,
     to_diagram,
@@ -56,7 +55,7 @@ from treegroups.coherence import (
 )
 
 from collapse_reference import all_reduction_endpoints
-from diagram_reference import expand, random_reduced_diagram
+from diagram_reference import expand, leaf_count, random_reduced_diagram
 from seed_reference import seed_reduce
 
 

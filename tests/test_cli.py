@@ -157,19 +157,32 @@ def test_out_of_memory_exit_code(capsys, monkeypatch):
 
 
 def test_long_word_recursion_headroom(capsys):
-    # The seed path recurses once per term level, and 330 letters a1[-]
-    # nest the seed 331 levels deep.
-    word = " ".join(["a1[-]"] * 330)
-    code, out, err = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", word)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["n"] == 2
+    # The diagram path recurses once per tree level: 900 letters a1[-] (or
+    # A1[-]) nest one side of the pair 901 levels deep.
+    for letter in ("a1[-]", "A1[-]"):
+        word = " ".join([letter] * 900)
+        code, out, err = invoke(capsys, "word", "eval", "--n", "2", "--theory", "c", word)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["n"] == 2
+        code, out, err = invoke(capsys, "export", "dot", "--n", "2", "--theory", "c", word)
+        assert (code, err) == (0, "")
+        assert out.startswith("graph tree_diagram {")
 
 
 def test_long_word_eq_recursion_headroom(capsys):
-    # Both words nest their trees 331 levels deep on the diagram path.
+    for letter in ("a1[-]", "A1[-]"):
+        word = " ".join([letter] * 900)
+        code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", word, "--", word)
+        assert (code, out, err) == (0, "equal\n", "")
+
+
+def test_long_word_compose_recursion_headroom(capsys):
+    # The seed path spends about two units of the recursion limit per term
+    # level, and 330 letters a1[-] nest the seed 331 levels deep.
     word = " ".join(["a1[-]"] * 330)
-    code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", word, "--", word)
-    assert (code, out, err) == (0, "equal\n", "")
+    code, out, err = invoke(capsys, "op", "compose", "--n", "2", "--theory", "c", word)
+    assert (code, err) == (0, "")
+    assert out.count(" -> ") == 1
 
 
 def test_check_moore(capsys):

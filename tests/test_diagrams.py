@@ -15,6 +15,7 @@ from treegroups.operators import (
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
+    TreePair,
     caret,
     diagram_power,
     from_json_dict,
@@ -22,9 +23,7 @@ from treegroups.diagrams import (
     invert_diagram,
     is_order_preserving,
     is_reduced,
-    leaf_count,
     leaves,
-    minimal_common_expansion,
     multiply,
     reduce,
     to_diagram,
@@ -35,7 +34,13 @@ from treegroups.diagrams import (
 )
 
 from collapse_reference import all_reduction_endpoints
-from diagram_reference import expand, expand_diagram, is_expansion_of, random_reduced_diagram
+from diagram_reference import (
+    expand,
+    expand_diagram,
+    is_expansion_of,
+    leaf_count,
+    random_reduced_diagram,
+)
 
 
 def v(name):
@@ -66,18 +71,6 @@ def test_expand():
     assert leaf_count(full) == 9
     with pytest.raises(TermError):
         expand(LEAF, 2, 2)
-
-
-def test_minimal_common_expansion():
-    assert minimal_common_expansion(R3, R3, 2) == R3
-    assert minimal_common_expansion(LEAF, R3, 2) == R3
-    both = minimal_common_expansion(L3, R3, 2)
-    assert leaves(both) == ((1, 1), (1, 2), (2, 1), (2, 2))
-    assert is_expansion_of(both, L3) and is_expansion_of(both, R3)
-    # every common expansion expands the minimal one
-    bigger = expand(both, 1, 2)
-    assert is_expansion_of(bigger, both)
-    assert not is_expansion_of(L3, R3)
 
 
 def test_expand_diagram_identity():
@@ -164,6 +157,35 @@ def test_group_laws_random():
             assert multiply(expand_diagram(a, i), b) == multiply(a, b)
             j = rng.randint(1, leaf_count(b.domain))
             assert multiply(a, expand_diagram(b, j)) == multiply(a, b)
+
+
+def test_tree_pair_round_trip():
+    rng = random.Random(5)
+    for n in (2, 3):
+        for _ in range(60):
+            d = random_reduced_diagram(n, rng)
+            for _ in range(rng.randint(0, 3)):  # unreduced, as JSON can pass
+                d = expand_diagram(d, rng.randint(1, leaf_count(d.domain)))
+            assert TreePair(d).freeze() == d
+            pair = TreePair(d)
+            pair.act(identity_diagram(n))
+            assert pair.freeze() == d and reduce(pair.freeze()) == reduce(d)
+            # acting grows the first domain and the second range only by carets
+            e = random_reduced_diagram(n, rng)
+            pair.act(e)
+            product = pair.freeze()
+            assert is_expansion_of(product.domain, d.domain)
+            assert is_expansion_of(product.range, e.range)
+
+
+def test_trusted_results_equal_their_checked_twins():
+    rng = random.Random(8)
+    for n in (2, 3):
+        for _ in range(40):
+            a, b = random_reduced_diagram(n, rng), random_reduced_diagram(n, rng)
+            for d in (multiply(a, b), invert_diagram(a), TreePair(a).freeze()):
+                twin = TreeDiagram(d.n, d.domain, d.range, d.perm)
+                assert d == twin and hash(d) == hash(twin)
 
 
 def test_is_order_preserving():

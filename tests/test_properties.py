@@ -15,7 +15,6 @@ from treegroups.coherence import Generator, eval_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
-    leaf_count,
     multiply,
     reduce,
 )
@@ -33,7 +32,7 @@ from treegroups.operators import (
 from treegroups.terms import App, Signature, Var
 
 from collapse_reference import all_reduction_endpoints
-from diagram_reference import expand, expand_diagram
+from diagram_reference import expand, expand_diagram, leaf_count
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
