@@ -54,7 +54,6 @@ from .diagrams import (
     TreePair,
     identity_diagram,
     multiply,
-    reduce,
     to_json,
 )
 
@@ -157,8 +156,8 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
 
     Each letter acts on a `TreePair` that starts as the identity, rewriting
     one node of its range in place and careting leaves where the letter
-    needs nodes.  The pair is frozen and reduced once at the end; the result
-    equals `to_diagram(word_operator(word, theory), n)`.
+    needs nodes.  Freezing the pair at the end reduces it; the result equals
+    `to_diagram(word_operator(word, theory), n)`.
     """
     theory = theory_for(theory_name, n)
     pair = TreePair(identity_diagram(n))
@@ -168,7 +167,7 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
             pair.swap(g.address, g.index)
         else:
             pair.regroup(g.address, g.index, g.sign)
-    return reduce(pair.freeze())
+    return pair.freeze()
 
 
 def words_equal(w1, w2, n: int, theory_name: str = "sc") -> bool:
@@ -480,7 +479,7 @@ def check_coherence(n: int, max_nodes: int = 4):
     def visit(t: Term) -> tuple:
         if t in memo:
             return memo[t]
-        memo[t] = (False, 0)  # a rule that cycles back to t fails it
+        memo[t] = (False, 0, 0)  # a rule that cycles back to t fails it
         letters = applicable_positive(t, n)
         word = underlying_list(t)
         ok, paths = (True, 0) if letters else (t == lmb(word, n), 1)
@@ -497,19 +496,19 @@ def check_coherence(n: int, max_nodes: int = 4):
             )
         for g in letters:
             successor = apply_generator(t, g, theory)
-            passed, count = (False, 0) if successor is None else visit(successor)
+            passed, count, _ = (False, 0, 0) if successor is None else visit(successor)
             ok = ok and passed and underlying_list(successor) == word
             paths += count
-        memo[t] = (ok, paths)
+        memo[t] = (ok, paths, math.comb(len(letters), 2))
         return memo[t]
 
     for k in range(max_nodes + 1):
         for t in enumerate_terms(n, k):
-            ok, paths = visit(t)
+            ok, paths, pairs = visit(t)
             all_ok = all_ok and ok
             lines.append(
                 f"coherence n={n} term={format_term(t, theory.signature)} "
-                f"pairs={math.comb(len(applicable_positive(t, n)), 2)} "
+                f"pairs={pairs} "
                 f"paths={paths} {'PASS' if ok else 'FAIL'}"
             )
     return all_ok, lines

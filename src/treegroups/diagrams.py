@@ -5,13 +5,14 @@ tuple of exactly n subtrees (the arity travels alongside, not in the value).
 A diagram is a triple (domain tree, range tree, perm) with equal leaf
 counts, perm sending the i-th domain leaf (in left-to-right order) to the
 perm[i]-th range leaf.  Diagrams modulo common expansion form a group; the
-canonical representative is the reduced diagram.  `reduce` reaches it in
-one post-order walk of the domain, each leaf carrying its partner's range
-address, collapsing every caret whose leaves carry the children of one
-range caret.  Letters and whole diagrams act on a mutable `TreePair`, whose
-range is nested lists of leaf ids, by substitution at nodes of that range,
-careting leaves where they need nodes: `multiply` lets the second factor
-act on the first, `coherence.eval_diagram` each letter on the identity.
+canonical representative is the reduced diagram.  Letters and whole
+diagrams act on a mutable `TreePair`, whose range is nested lists of leaf
+ids, by substitution at nodes of that range, careting leaves where they
+need nodes: `multiply` lets the second factor act on the first,
+`coherence.eval_diagram` each letter on the identity.  `TreePair.freeze`
+reduces as it builds the tuple diagram, collapsing every caret whose leaf
+ids are the children of one range node; `reduce` is a `freeze` of the
+diagram's own pair.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -31,25 +32,6 @@ LEAF = ()
 
 def is_leaf(tree) -> bool:
     return tree == ()
-
-
-def caret(n: int):
-    return (LEAF,) * n
-
-
-def leaves(tree) -> tuple:
-    """Leaf addresses in lexicographic (left-to-right) order."""
-    out = []
-
-    def walk(node, prefix):
-        if is_leaf(node):
-            out.append(prefix)
-            return
-        for k, child in enumerate(node, start=1):
-            walk(child, prefix + (k,))
-
-    walk(tree, ())
-    return tuple(out)
 
 
 def _checked_leaf_count(tree, n: int) -> int:
@@ -109,61 +91,12 @@ def _inverse(perm) -> tuple:
     return tuple(out)
 
 
-def _tree_of_leaves(addresses, n: int):
-    """The arity-n tree whose leaf addresses, in order, are `addresses`:
-    a prefix is a leaf exactly when it is the next address."""
-    position = 0
-
-    def build(prefix):
-        nonlocal position
-        if addresses[position] == prefix:
-            position += 1
-            return LEAF
-        return tuple(map(build, [prefix + (k,) for k in range(1, n + 1)]))
-
-    return build(())
-
-
 def reduce(d: TreeDiagram) -> TreeDiagram:
-    """The reduced diagram: matched caret pairs collapsed to the fixpoint.
-
-    Each domain leaf carries its partner's range address.  A domain node
-    whose children are all leaves carrying p.1 ... p.n, in order, collapses
-    with the range caret at p into one leaf carrying p; the range leaves
-    p.k prove that caret exists.  Addresses do not shift when a caret
-    elsewhere collapses, so a node's children are final once a post-order
-    walk has visited them, and one walk reaches the fixpoint.  The range is
-    rebuilt once from the surviving addresses.  The reduced diagram is
-    unique, so the collapse order does not matter; the test suite checks
-    this one against every order on small diagrams.
-    """
-    n = d.n
-    range_leaves = leaves(d.range)
-    partners = iter([range_leaves[k - 1] for k in d.perm])
-    carried = []  # partner addresses of the walked domain leaves, in order
-    full_caret = caret(n)
-
-    def walk(node):
-        if is_leaf(node):
-            carried.append(next(partners))
-            return LEAF
-        kids = tuple(map(walk, node))
-        if kids == full_caret:
-            p = carried[-n][:-1]
-            if carried[-n:] == [p + (k,) for k in range(1, n + 1)]:
-                del carried[-n:]
-                carried.append(p)
-                return LEAF
-        return kids
-
-    domain = walk(d.domain)
-    if len(carried) == len(d.perm):
-        return d
-    order = sorted(carried)
-    rank = {address: i for i, address in enumerate(order, start=1)}
-    return _trusted(
-        n, domain, _tree_of_leaves(order, n), tuple([rank[a] for a in carried])
-    )
+    """The reduced diagram: matched caret pairs collapsed to the fixpoint by
+    `TreePair.freeze`.  The reduced diagram is unique, so the collapse order
+    does not matter; the test suite checks this one against every order on
+    small diagrams and against a walk over partner addresses."""
+    return TreePair(d).freeze()
 
 
 def is_reduced(d: TreeDiagram) -> bool:
@@ -256,33 +189,70 @@ class TreePair:
         self.range[0] = _graft(d.range, hanging, d.perm)
 
     def freeze(self) -> TreeDiagram:
-        """The unreduced diagram of the pair: both trees as tuples with
-        every split id expanded, and the perm read off the leaf ids."""
-        split, ids, order = self.split, itertools.count(), []
+        """The reduced diagram of the pair.  This ends the pair: it collapses
+        the range in place.
 
-        def walk(node):
-            if type(node) is not int:
-                if node:
-                    return tuple(map(walk, node))
+        A post-order walk of the domain expands each split id and collapses
+        every caret whose n leaf ids are, in order, the children of one
+        range node: the caret and that node become one fresh id, which
+        takes the node's place in the range.  Ids do not move when a caret
+        elsewhere collapses, so a caret's children are final once the walk
+        has visited them, and one walk reaches the fixpoint.  The range is
+        then read off as a tuple, and the perm off the ids.
+        """
+        n, split, fresh = self.n, self.split, self.fresh
+        # range leaf id -> (its parent list, where that list sits); a list
+        # sits at (its parent list, its index there, where that parent sits)
+        above = {}
+        stack = [(self.range, None)]
+        while stack:
+            node, place = stack.pop()
+            for k, child in enumerate(node):
+                if type(child) is int:
+                    above[child] = node, place
+                else:
+                    stack.append((child, (node, k, place)))
+        ids, order, full = itertools.count(), [], (LEAF,) * n
+
+        def collapse(node):
+            if node == LEAF:
                 node = next(ids)  # a domain leaf
-            if node in split:
-                return tuple(map(walk, split[node]))
-            order.append(node)
-            return LEAF
+            if type(node) is int:
+                if node not in split:
+                    order.append(node)
+                    return LEAF
+                node = split[node]
+            kids = tuple(map(collapse, node))
+            if kids == full:
+                last = order[-n:]
+                parent, place = above[last[0]]
+                if parent == last:
+                    holder, k, up = place
+                    merged = holder[k] = next(fresh)
+                    above[merged] = holder, up
+                    order[-n:] = [merged]
+                    return LEAF
+            return kids
 
-        domain = walk(self.domain)
+        def build(node):
+            if type(node) is int:
+                order.append(node)
+                return LEAF
+            return tuple(map(build, node))
+
+        domain = collapse(self.domain)
         m = len(order)
-        range_ = walk(self.range[0])
+        range_ = build(self.range[0])
         position = {leaf: k for k, leaf in enumerate(order[m:], start=1)}
         perm = tuple([position[leaf] for leaf in order[:m]])
-        return _trusted(self.n, domain, range_, perm)
+        return _trusted(n, domain, range_, perm)
 
 
 def multiply(d1: TreeDiagram, d2: TreeDiagram) -> TreeDiagram:
     """The diagram "d1 followed by d2", reduced: d2 acts on the pair of d1."""
     pair = TreePair(d1)
     pair.act(d2)
-    return reduce(pair.freeze())
+    return pair.freeze()
 
 
 def diagram_power(d: TreeDiagram, exponent: int) -> TreeDiagram:

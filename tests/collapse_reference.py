@@ -1,15 +1,17 @@
-"""Reference reduction for the tests: one caret pair collapsed at a time.
+"""Reference reductions for the tests.
 
 `reducible_pairs` lists every collapsible pair of a diagram by leaf index,
 `collapse` collapses one of them, and `all_reduction_endpoints` follows
-every collapse order to its end.  On small diagrams the endpoint must be
-unique and equal to `treegroups.diagrams.reduce`, which reaches it by a
-different route (one walk over partner addresses).
+every collapse order to its end.  That is exponential, so it serves small
+diagrams only.  `partner_reduce` reaches the reduced diagram in one walk
+over partner range addresses, which scales to large ones.  Both must agree
+with `treegroups.diagrams.reduce`, which collapses on leaf ids inside
+`TreePair.freeze`.
 """
 
 from treegroups.diagrams import LEAF, TreeDiagram, is_leaf
 
-from diagram_reference import replace_node
+from diagram_reference import caret, leaves, replace_node
 
 
 def _carets(tree) -> list:
@@ -84,3 +86,58 @@ def all_reduction_endpoints(d: TreeDiagram) -> frozenset:
         return out
 
     return explore(d)
+
+
+def _tree_of_leaves(addresses, n: int):
+    """The arity-n tree whose leaf addresses, in order, are `addresses`:
+    a prefix is a leaf exactly when it is the next address."""
+    position = 0
+
+    def build(prefix):
+        nonlocal position
+        if addresses[position] == prefix:
+            position += 1
+            return LEAF
+        return tuple(map(build, [prefix + (k,) for k in range(1, n + 1)]))
+
+    return build(())
+
+
+def partner_reduce(d: TreeDiagram) -> TreeDiagram:
+    """The reduced diagram by partner addresses.
+
+    Each domain leaf carries its partner's range address.  A domain node
+    whose children are all leaves carrying p.1 ... p.n, in order, collapses
+    with the range caret at p into one leaf carrying p; the range leaves
+    p.k prove that caret exists.  Addresses do not shift when a caret
+    elsewhere collapses, so one post-order walk reaches the fixpoint.  The
+    range is rebuilt once from the surviving addresses; a reduced `d` comes
+    back as it is.
+    """
+    n = d.n
+    range_leaves = leaves(d.range)
+    partners = iter([range_leaves[k - 1] for k in d.perm])
+    carried = []  # partner addresses of the walked domain leaves, in order
+    full_caret = caret(n)
+
+    def walk(node):
+        if is_leaf(node):
+            carried.append(next(partners))
+            return LEAF
+        kids = tuple(map(walk, node))
+        if kids == full_caret:
+            p = carried[-n][:-1]
+            if carried[-n:] == [p + (k,) for k in range(1, n + 1)]:
+                del carried[-n:]
+                carried.append(p)
+                return LEAF
+        return kids
+
+    domain = walk(d.domain)
+    if len(carried) == len(d.perm):
+        return d
+    order = sorted(carried)
+    rank = {address: i for i, address in enumerate(order, start=1)}
+    return TreeDiagram(
+        n, domain, _tree_of_leaves(order, n), tuple([rank[a] for a in carried])
+    )

@@ -1,15 +1,36 @@
 """Tree and diagram helpers for the tests.
 
-`leaf_count` counts the leaves of a tree, `expand` carets one of them,
-`expand_diagram` makes a simple expansion of a diagram, and
-`random_reduced_diagram` draws a reduced diagram from random carets.
+`caret` is the tree of one internal node, `leaves` lists a tree's leaf
+addresses, `leaf_count` counts them, `expand` carets one leaf,
+`expand_diagram` makes a simple expansion of a diagram, `random_diagram`
+draws a diagram from random carets and a random perm, and
+`random_reduced_diagram` reduces one.
 `expand_diagram` works by leaf-index arithmetic, not by the `TreePair` that
 `treegroups.diagrams.multiply` acts on, so the tests that feed it unreduced
 factors check the product against a different route.
 """
 
-from treegroups.diagrams import LEAF, TreeDiagram, caret, is_leaf, leaves, reduce
+from treegroups.diagrams import LEAF, TreeDiagram, is_leaf, reduce
 from treegroups.terms import TermError
+
+
+def caret(n: int):
+    return (LEAF,) * n
+
+
+def leaves(tree) -> tuple:
+    """Leaf addresses in lexicographic (left-to-right) order."""
+    out = []
+
+    def walk(node, prefix):
+        if is_leaf(node):
+            out.append(prefix)
+            return
+        for k, child in enumerate(node, start=1):
+            walk(child, prefix + (k,))
+
+    walk(tree, ())
+    return tuple(out)
 
 
 def leaf_count(tree) -> int:
@@ -35,14 +56,6 @@ def expand(tree, leaf_index: int, n: int):
     return replace_node(tree, addrs[leaf_index - 1], caret(n))
 
 
-def is_expansion_of(big, small) -> bool:
-    if is_leaf(small):
-        return True
-    if is_leaf(big):
-        return False
-    return all(is_expansion_of(b, s) for b, s in zip(big, small))
-
-
 def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
     """Simple expansion: caret domain leaf i and its partner, range leaf
     k = perm[i-1], and pair the n new leaves in child order.  Range indices
@@ -56,7 +69,7 @@ def expand_diagram(d: TreeDiagram, leaf_index: int) -> TreeDiagram:
     return TreeDiagram(n, domain, range_, tuple(perm))
 
 
-def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
+def random_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
     k = rng.randint(0, max_carets)
     t1, t2 = LEAF, LEAF
     for _ in range(k):
@@ -64,4 +77,8 @@ def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
         t2 = expand(t2, rng.randint(1, leaf_count(t2)), n)
     perm = list(range(1, k * (n - 1) + 2))
     rng.shuffle(perm)
-    return reduce(TreeDiagram(n, t1, t2, tuple(perm)))
+    return TreeDiagram(n, t1, t2, tuple(perm))
+
+
+def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
+    return reduce(random_diagram(n, rng, max_carets))

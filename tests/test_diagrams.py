@@ -12,18 +12,17 @@ from treegroups.operators import (
     symmetric_catalan_theory,
     translated_seed,
 )
+from treegroups.coherence import eval_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
     TreePair,
-    caret,
     diagram_power,
     from_json_dict,
     identity_diagram,
     invert_diagram,
     is_order_preserving,
     is_reduced,
-    leaves,
     multiply,
     reduce,
     to_diagram,
@@ -33,14 +32,17 @@ from treegroups.diagrams import (
     tree_of_term,
 )
 
-from collapse_reference import all_reduction_endpoints
+from collapse_reference import all_reduction_endpoints, partner_reduce
 from diagram_reference import (
+    caret,
     expand,
     expand_diagram,
-    is_expansion_of,
     leaf_count,
+    leaves,
+    random_diagram,
     random_reduced_diagram,
 )
+from test_seed_path import random_word
 
 
 def v(name):
@@ -113,14 +115,7 @@ def test_reduction_orders_agree_small():
     rng = random.Random(13)
     for n in (2, 3):
         for _ in range(60):
-            k = rng.randint(0, 4)
-            t1, t2 = LEAF, LEAF
-            for _ in range(k):
-                t1 = expand(t1, rng.randint(1, leaf_count(t1)), n)
-                t2 = expand(t2, rng.randint(1, leaf_count(t2)), n)
-            perm = list(range(1, k * (n - 1) + 2))
-            rng.shuffle(perm)
-            d = TreeDiagram(n, t1, t2, tuple(perm))
+            d = random_diagram(n, rng, max_carets=4)
             assert all_reduction_endpoints(d) == {reduce(d)}
 
 
@@ -159,6 +154,28 @@ def test_group_laws_random():
             assert multiply(a, expand_diagram(b, j)) == multiply(a, b)
 
 
+def test_reduce_matches_the_partner_address_reference():
+    rng = random.Random(17)
+    for n in (2, 3, 4):
+        for _ in range(60):
+            d = random_diagram(n, rng, max_carets=8)
+            assert reduce(d) == partner_reduce(d)
+            d = partner_reduce(d)
+            for _ in range(rng.randint(0, 10)):  # up to 55 leaves at n = 4
+                d = expand_diagram(d, rng.randint(1, leaf_count(d.domain)))
+            assert reduce(d) == partner_reduce(d)
+        # products and evaluations come out reduced
+        for _ in range(30):
+            a, b = random_reduced_diagram(n, rng), random_reduced_diagram(n, rng)
+            product = multiply(expand_diagram(a, 1), b)
+            assert partner_reduce(product) == product
+        for theory_name in ("c", "sc"):
+            for length in (0, 1, 2, 5, 13, 40):
+                word = random_word(rng, n, theory_name, length, max_depth=3)
+                d = eval_diagram(word, n, theory_name)
+                assert partner_reduce(d) == d
+
+
 def test_tree_pair_round_trip():
     rng = random.Random(5)
     for n in (2, 3):
@@ -166,16 +183,17 @@ def test_tree_pair_round_trip():
             d = random_reduced_diagram(n, rng)
             for _ in range(rng.randint(0, 3)):  # unreduced, as JSON can pass
                 d = expand_diagram(d, rng.randint(1, leaf_count(d.domain)))
-            assert TreePair(d).freeze() == d
+            reduced = partner_reduce(d)
+            assert TreePair(d).freeze() == reduced
             pair = TreePair(d)
             pair.act(identity_diagram(n))
-            assert pair.freeze() == d and reduce(pair.freeze()) == reduce(d)
-            # acting grows the first domain and the second range only by carets
+            assert pair.freeze() == reduced
+            # a pair acted on twice freezes to the product of its reduced parts
             e = random_reduced_diagram(n, rng)
+            pair = TreePair(d)
+            pair.act(identity_diagram(n))
             pair.act(e)
-            product = pair.freeze()
-            assert is_expansion_of(product.domain, d.domain)
-            assert is_expansion_of(product.range, e.range)
+            assert pair.freeze() == multiply(reduced, e)
 
 
 def test_trusted_results_equal_their_checked_twins():
