@@ -4,8 +4,9 @@ Words are sequences of signed, addressed generators: `a<i>` regroups a
 nested tuple one child position to the left, `s<i>` transposes two adjacent
 children.  Every relation family below instantiates to a pair of words with
 the same evaluation; `eval_diagram` lets each letter act locally on a tree
-pair and reduces the pair once at the end, and two words are equal in the
-group exactly when their reduced diagrams coincide.  `word_operator` gives
+pair and reduces the pair once at the end.  `words_equal` reduces nothing:
+w1 and then the inverse of w2 act on one pair, and the words are equal in
+the group exactly when that pair is trivial.  `word_operator` gives
 the same element through seed composition, the package's semantics, which
 serves operator composition and the tests as the reference.
 
@@ -151,6 +152,19 @@ def word_operator(word, theory: Theory) -> Operator:
     return eval_word([generator_rule(g, theory) for g in word], theory.signature)
 
 
+def _act_word(pair: TreePair, word, theory: Theory, sign: int = 1) -> None:
+    """Check every letter of `word` in order, then let the word act on
+    `pair`; with sign -1 its inverse acts instead: the letters in reverse,
+    each with its sign flipped (a twist is its own inverse)."""
+    for g in word:
+        check_letter(g, theory)
+    for g in word if sign > 0 else reversed(word):
+        if g.kind == "s":
+            pair.swap(g.address, g.index)
+        else:
+            pair.regroup(g.address, g.index, sign * g.sign)
+
+
 def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
     """Evaluate a word to its reduced tree diagram by local action.
 
@@ -159,19 +173,21 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
     needs nodes.  Freezing the pair at the end reduces it; the result equals
     `to_diagram(word_operator(word, theory), n)`.
     """
-    theory = theory_for(theory_name, n)
     pair = TreePair(identity_diagram(n))
-    for g in word:
-        check_letter(g, theory)
-        if g.kind == "s":
-            pair.swap(g.address, g.index)
-        else:
-            pair.regroup(g.address, g.index, g.sign)
+    _act_word(pair, word, theory_for(theory_name, n))
     return pair.freeze()
 
 
 def words_equal(w1, w2, n: int, theory_name: str = "sc") -> bool:
-    return eval_diagram(w1, n, theory_name) == eval_diagram(w2, n, theory_name)
+    """Whether w1 = w2 in the group: w1 and then w2's inverse act on one
+    identity pair.  A pair is the identity exactly when it expands (leaf,
+    leaf, id), and every such expansion is (T, T, id), so no reduction is
+    needed: `TreePair.is_trivial` walks the pair once."""
+    theory = theory_for(theory_name, n)
+    pair = TreePair(identity_diagram(n))
+    _act_word(pair, w1, theory)
+    _act_word(pair, w2, theory, -1)
+    return pair.is_trivial()
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +361,7 @@ def relation_instances(n: int, theory_name: str, max_addr: int = 2):
 
 
 def check_axioms(n: int, theory_name: str, max_addr: int = 2):
-    """Evaluate every relation instance; returns (all passed, report lines).
+    """Decide every relation instance; returns (all passed, report lines).
 
     Each line carries family, n, indices, base address, and PASS/FAIL; a
     failing instance also reports both reduced diagrams as JSON.
@@ -354,9 +370,7 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2):
     lines = []
     all_ok = True
     for inst in relation_instances(n, theory_name, max_addr):
-        left = eval_diagram(inst.lhs, n, theory_name)
-        right = eval_diagram(inst.rhs, n, theory_name)
-        ok = left == right
+        ok = words_equal(inst.lhs, inst.rhs, n, theory_name)
         all_ok = all_ok and ok
         idx = " ".join(
             f"{name}={value}"
@@ -366,8 +380,8 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2):
         line = f"{inst.family} n={n} {idx} base={format_address(inst.base)} {status}"
         lines.append(line)
         if not ok:
-            lines.append(f"  lhs={to_json(left)}")
-            lines.append(f"  rhs={to_json(right)}")
+            for side, word in (("lhs", inst.lhs), ("rhs", inst.rhs)):
+                lines.append(f"  {side}={to_json(eval_diagram(word, n, theory_name))}")
     return all_ok, lines
 
 

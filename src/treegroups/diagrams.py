@@ -188,6 +188,25 @@ class TreePair:
         match(d.domain, self.range, 0)
         self.range[0] = _graft(d.range, hanging, d.perm)
 
+    def is_trivial(self) -> bool:
+        """True iff the pair represents the identity: every expansion of
+        (leaf, leaf, id) is (T, T, id), so one pre-order walk pairs the
+        domain, expanded by `split`, with the range and stops at the first
+        difference in shape or leaf id.  It builds and changes nothing."""
+        split, ids = self.split, itertools.count()
+        stack = [(self.domain, self.range[0])]
+        while stack:
+            node, image = stack.pop()
+            if node == LEAF:
+                node = next(ids)  # a domain leaf
+            if type(node) is int:
+                node = split.get(node, node)
+            if type(node) is tuple and type(image) is list:
+                stack.extend(zip(reversed(node), reversed(image)))
+            elif node != image:
+                return False
+        return True
+
     def freeze(self) -> TreeDiagram:
         """The reduced diagram of the pair.  This ends the pair: it collapses
         the range in place.

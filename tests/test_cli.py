@@ -93,6 +93,19 @@ def test_word_eq_unequal(capsys):
     assert out.strip() == "unequal"
 
 
+def test_word_eq_reports_the_first_bad_letter(capsys):
+    # Letters are checked in reading order, w1's before w2's, although w2
+    # acts on the pair in reverse.
+    for w1, w2, message in (
+        ("a1[-]", "a5[-] a1[9]", "generator index 5 out of range for n=2"),
+        ("a1[-]", "a1[9] a5[-]", "generator address (9,) out of range for n=2"),
+        ("a1[3]", "a5[-]", "generator address (3,) out of range for n=2"),
+        ("a1[-] s1[-]", "a1[1.4]", "twist generators need the symmetric theory"),
+    ):
+        code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", w1, "--", w2)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_word_eq_missing_separator(capsys):
     code, _, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", "a1[-]")
     assert code == 2
@@ -170,10 +183,19 @@ def test_long_word_recursion_headroom(capsys):
 
 
 def test_long_word_eq_recursion_headroom(capsys):
+    # word eq reduces nothing and walks the pair on an explicit stack, so
+    # its depth has no ceiling: 900 a1[-] against 900 A1[-] leave the
+    # quotient 1 800 levels deep, and 5 000 letters are far past the
+    # recursion limit.
+    def word_eq(w1, w2):
+        return invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", w1, "--", w2)
+
     for letter in ("a1[-]", "A1[-]"):
         word = " ".join([letter] * 900)
-        code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", word, "--", word)
-        assert (code, out, err) == (0, "equal\n", "")
+        assert word_eq(word, word) == (0, "equal\n", "")
+    assert word_eq(" ".join(["a1[-]"] * 900), " ".join(["A1[-]"] * 900)) == (1, "unequal\n", "")
+    word = " ".join(["a1[-]"] * 5000)
+    assert word_eq(word, word) == (0, "equal\n", "")
 
 
 def test_long_word_compose_recursion_headroom(capsys):

@@ -1,5 +1,5 @@
 """Seeded property tests of reduction, the diagram product, seed
-composition and word evaluation.
+composition, word evaluation and the word problem.
 
 The examples are derandomized, so every run checks the same diagrams.  The
 module skips when `hypothesis` is not installed.
@@ -11,10 +11,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from treegroups.coherence import Generator, eval_diagram
+from treegroups.coherence import Generator, eval_diagram, invert_word, words_equal
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
+    TreePair,
+    identity_diagram,
     multiply,
     reduce,
 )
@@ -175,3 +177,25 @@ def test_eval_diagram_is_a_homomorphism(case):
     assert eval_diagram(u + v, n, theory_name) == multiply(
         eval_diagram(u, n, theory_name), eval_diagram(v, n, theory_name)
     )
+
+
+# The word problem on one tree pair: w1 followed by the inverse of w2 is
+# trivial exactly when the two reduced diagrams coincide.
+
+@SEEDED
+@given(word_pairs())
+def test_words_equal_compares_the_reduced_diagrams(case):
+    n, theory_name, u, v = case
+    assert words_equal(u, v, n, theory_name) == (
+        eval_diagram(u, n, theory_name) == eval_diagram(v, n, theory_name)
+    )
+    assert words_equal(u + v + invert_word(v), u, n, theory_name)
+
+
+@SEEDED
+@given(diagrams(max_carets=6, max_expansions=4))
+def test_is_trivial_is_reducing_to_the_identity(d):
+    assert TreePair(d).is_trivial() == (reduce(d) == identity_diagram(d.n))
+    ordered = tuple(range(1, len(d.perm) + 1))
+    same_tree = TreeDiagram(d.n, d.domain, d.domain, d.perm)
+    assert TreePair(same_tree).is_trivial() == (d.perm == ordered)
