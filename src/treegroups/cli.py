@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = word_sub.add_parser("eq")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("w1", nargs="+")
+    p.add_argument("w1", nargs="*", help="the first word; the second follows --")
 
     check = top.add_parser("check", help="axiom, coherence, and symmetric-group suites")
     check_sub = check.add_subparsers(dest="command", required=True)
@@ -102,10 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv) -> int:
     argv = list(argv)
     second_word = None
-    if argv[:2] == ["word", "eq"]:
-        if "--" not in argv[2:]:
-            print("word eq needs two words separated by --", file=sys.stderr)
-            return 2
+    if argv[:2] == ["word", "eq"] and "--" in argv[2:]:
         split = argv.index("--", 2)
         argv, tail = argv[:split], argv[split + 1 :]
         second_word = " ".join(tail)
@@ -172,6 +169,9 @@ def _dispatch(args, second_word) -> int:
             diagram = eval_diagram(parse_word(" ".join(args.word)), args.n, args.theory)
             print(to_json(diagram))
             return 0
+        if second_word is None:
+            print("word eq needs two words separated by --", file=sys.stderr)
+            return 2
         w1 = parse_word(" ".join(args.w1))
         w2 = parse_word(second_word)
         equal = words_equal(w1, w2, args.n, args.theory)

@@ -6,13 +6,13 @@ A diagram is a triple (domain tree, range tree, perm) with equal leaf
 counts, perm sending the i-th domain leaf (in left-to-right order) to the
 perm[i]-th range leaf.  Diagrams modulo common expansion form a group; the
 canonical representative is the reduced diagram.  Letters and whole
-diagrams act on a mutable `TreePair`, whose range is nested lists of leaf
-ids, by substitution at nodes of that range, careting leaves where they
-need nodes: `multiply` lets the second factor act on the first,
-`coherence.eval_diagram` each letter on the identity.  `TreePair.freeze`
-reduces as it builds the tuple diagram, collapsing every caret whose leaf
-ids are the children of one range node; `reduce` is a `freeze` of the
-diagram's own pair.
+diagrams act on a mutable `TreePair`, which gives every domain node an id
+and holds the range as nested lists of leaf ids, by substitution at nodes
+of that range, careting leaves where they need nodes: `multiply` lets the
+second factor act on the first, `coherence.eval_diagram` each letter on
+the identity.  `TreePair.freeze` reduces in the walk that builds the range
+tuple, collapsing each range node whose leaf ids are the children of one
+domain caret; `reduce` is a `freeze` of the diagram's own pair.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -93,9 +93,10 @@ def _inverse(perm) -> tuple:
 
 def reduce(d: TreeDiagram) -> TreeDiagram:
     """The reduced diagram: matched caret pairs collapsed to the fixpoint by
-    `TreePair.freeze`.  The reduced diagram is unique, so the collapse order
-    does not matter; the test suite checks this one against every order on
-    small diagrams and against a walk over partner addresses."""
+    `TreePair.freeze`, bottom-up along the range.  The reduced diagram is
+    unique, so the collapse order does not matter; the test suite checks
+    this one against every order on small diagrams and against a walk over
+    partner addresses."""
     return TreePair(d).freeze()
 
 
@@ -123,8 +124,10 @@ def _graft(tree, items, perm) -> list:
 class TreePair:
     """A tree pair that letters and diagrams act on in place.
 
-    The domain is a diagram's domain tuple, its leaf j (from 0) with id j.
-    The range is nested lists of leaf ids, held at `range[0]` so that its
+    Every node of the pair has an integer id.  The domain is `root` and
+    `split`, which maps each internal domain node to the ids of its n
+    children; a diagram's domain leaf j (from 0) has id j.  The range is
+    nested lists of the domain's leaf ids, held at `range[0]` so that its
     root is a child like any other; the leaf bijection travels on the ids.
     Where an action needs a node, a range leaf is careted into n fresh ids
     and the caret recorded in `split`; the domain grows by the same caret,
@@ -133,10 +136,19 @@ class TreePair:
 
     def __init__(self, d: TreeDiagram):
         self.n = d.n
-        self.domain = d.domain
         self.range = [_graft(d.range, range(len(d.perm)), d.perm)]
-        self.split = {}
-        self.fresh = itertools.count(len(d.perm))
+        self.split = split = {}
+        self.fresh = fresh = itertools.count(len(d.perm))
+        leaves = itertools.count()
+
+        def label(node):
+            if not node:
+                return next(leaves)
+            caret = next(fresh)
+            split[caret] = tuple(map(label, node))
+            return caret
+
+        self.root = label(d.domain)
 
     def _internal(self, parent: list, k: int) -> list:
         """parent[k], careted first if it is a leaf."""
@@ -190,80 +202,60 @@ class TreePair:
 
     def is_trivial(self) -> bool:
         """True iff the pair represents the identity: every expansion of
-        (leaf, leaf, id) is (T, T, id), so one pre-order walk pairs the
-        domain, expanded by `split`, with the range and stops at the first
+        (leaf, leaf, id) is (T, T, id), so one walk pairs each domain id,
+        expanded by `split`, with its range node and stops at the first
         difference in shape or leaf id.  It builds and changes nothing."""
-        split, ids = self.split, itertools.count()
-        stack = [(self.domain, self.range[0])]
+        split = self.split
+        stack = [(self.root, self.range[0])]
         while stack:
             node, image = stack.pop()
-            if node == LEAF:
-                node = next(ids)  # a domain leaf
-            if type(node) is int:
-                node = split.get(node, node)
-            if type(node) is tuple and type(image) is list:
-                stack.extend(zip(reversed(node), reversed(image)))
+            if node in split and type(image) is list:
+                stack.extend(zip(split[node], image))
             elif node != image:
                 return False
         return True
 
     def freeze(self) -> TreeDiagram:
-        """The reduced diagram of the pair.  This ends the pair: it collapses
-        the range in place.
+        """The reduced diagram of the pair.  This ends the pair: it deletes
+        the carets it collapses from `split`.
 
-        A post-order walk of the domain expands each split id and collapses
-        every caret whose n leaf ids are, in order, the children of one
-        range node: the caret and that node become one fresh id, which
-        takes the node's place in the range.  Ids do not move when a caret
-        elsewhere collapses, so a caret's children are final once the walk
-        has visited them, and one walk reaches the fixpoint.  The range is
-        then read off as a tuple, and the perm off the ids.
+        A post-order walk of the range builds its tuple and its leaf order.
+        A range node whose n children came back as leaves collapses when
+        their ids are, in order, the children of one caret in `split`: the
+        node becomes a leaf with the caret's id, and the caret leaves
+        `split`.  Whether a node collapses depends only on what lies below
+        it, so one walk reaches the fixpoint.  The domain is then read off
+        `split` from `root`, and the perm off the ids.
         """
-        n, split, fresh = self.n, self.split, self.fresh
-        # range leaf id -> (its parent list, where that list sits); a list
-        # sits at (its parent list, its index there, where that parent sits)
-        above = {}
-        stack = [(self.range, None)]
-        while stack:
-            node, place = stack.pop()
-            for k, child in enumerate(node):
-                if type(child) is int:
-                    above[child] = node, place
-                else:
-                    stack.append((child, (node, k, place)))
-        ids, order, full = itertools.count(), [], (LEAF,) * n
-
-        def collapse(node):
-            if node == LEAF:
-                node = next(ids)  # a domain leaf
-            if type(node) is int:
-                if node not in split:
-                    order.append(node)
-                    return LEAF
-                node = split[node]
-            kids = tuple(map(collapse, node))
-            if kids == full:
-                last = order[-n:]
-                parent, place = above[last[0]]
-                if parent == last:
-                    holder, k, up = place
-                    merged = holder[k] = next(fresh)
-                    above[merged] = holder, up
-                    order[-n:] = [merged]
-                    return LEAF
-            return kids
+        n, split = self.n, self.split
+        head = {kids[0]: caret for caret, kids in split.items()}
+        order, full = [], (LEAF,) * n
 
         def build(node):
             if type(node) is int:
                 order.append(node)
                 return LEAF
-            return tuple(map(build, node))
+            kids = tuple(map(build, node))
+            if kids == full:
+                last = order[-n:]
+                caret = head.get(last[0])
+                if split.get(caret) == tuple(last):
+                    del split[caret]
+                    order[-n:] = [caret]
+                    return LEAF
+            return kids
 
-        domain = collapse(self.domain)
-        m = len(order)
+        def read(node):
+            if node in split:
+                return tuple(map(read, split[node]))
+            order.append(node)
+            return LEAF
+
         range_ = build(self.range[0])
-        position = {leaf: k for k, leaf in enumerate(order[m:], start=1)}
-        perm = tuple([position[leaf] for leaf in order[:m]])
+        m = len(order)
+        domain = read(self.root)
+        position = {leaf: k for k, leaf in enumerate(order[:m], start=1)}
+        perm = tuple([position[leaf] for leaf in order[m:]])
         return _trusted(n, domain, range_, perm)
 
 

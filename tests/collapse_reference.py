@@ -5,8 +5,8 @@
 every collapse order to its end.  That is exponential, so it serves small
 diagrams only.  `partner_reduce` reaches the reduced diagram in one walk
 over partner range addresses, which scales to large ones.  Both must agree
-with `treegroups.diagrams.reduce`, which collapses on leaf ids inside
-`TreePair.freeze`.
+with `treegroups.diagrams.reduce`, which collapses on node ids inside
+`TreePair.freeze`'s walk over the range.
 """
 
 from treegroups.diagrams import LEAF, TreeDiagram, is_leaf

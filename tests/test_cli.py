@@ -112,6 +112,21 @@ def test_word_eq_missing_separator(capsys):
     assert "--" in err
 
 
+def test_word_eq_help(capsys):
+    code, out, _ = invoke(capsys, "word", "eq", "--help")
+    assert code == 0
+    assert out.startswith("usage:")
+
+
+def test_word_eq_empty_word_is_the_identity(capsys):
+    word = "s1[-] s1[-]"
+    for words in ((word, "--"), ("--", word), ("--",)):
+        code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "sc", *words)
+        assert (code, out, err) == (0, "equal\n", "")
+    code, out, _ = invoke(capsys, "word", "eq", "--n", "2", "--theory", "sc", "--", "s1[-]")
+    assert (code, out) == (1, "unequal\n")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "term", "rank", "--n", "2", "(x y z)")
     assert code == 2

@@ -13,14 +13,16 @@ import pytest
 
 from treegroups.coherence import (
     Generator,
+    check_letter,
     eval_diagram,
     parse_word,
     theory_for,
     word_operator,
 )
-from treegroups.diagrams import to_diagram
+from treegroups.diagrams import TreePair, identity_diagram, multiply, reduce, to_diagram
 from treegroups.terms import TermError
 
+from diagram_reference import expand_diagram, random_diagram
 from test_seed_path import random_word
 
 
@@ -69,6 +71,41 @@ def test_mixed_signs_at_one_address_match_the_seed_path():
                 for _ in range(length)
             )
             assert_same_element(word, n, theory_name)
+
+
+def act_letters(pair, word, sign=1):
+    for g in word if sign > 0 else reversed(word):
+        if g.kind == "s":
+            pair.swap(g.address, g.index)
+        else:
+            pair.regroup(g.address, g.index, sign * g.sign)
+
+
+def test_letters_act_on_a_non_identity_pair():
+    # The pair starts from a diagram's labelled domain, so letter carets
+    # land next to domain ids rather than on a bare identity.
+    rng = random.Random(13)
+    seen = set()
+    for n in (2, 3, 4):
+        for theory_name in ("c", "sc"):
+            theory = theory_for(theory_name, n)
+            for _ in range(40):
+                d = random_diagram(n, rng, max_carets=4)
+                for _ in range(rng.randint(0, 2)):
+                    d = expand_diagram(d, rng.randint(1, len(d.perm)))
+                word = random_word(rng, n, theory_name, rng.randint(0, 12), max_depth=3)
+                for g in word:
+                    check_letter(g, theory)
+                pair = TreePair(d)
+                act_letters(pair, word)
+                assert pair.freeze() == multiply(d, eval_diagram(word, n, theory_name))
+                pair = TreePair(d)
+                act_letters(pair, word)
+                act_letters(pair, word, -1)
+                is_one = reduce(d) == identity_diagram(n)
+                assert pair.is_trivial() == is_one
+                seen.add(is_one)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize(
