@@ -92,11 +92,9 @@ def _inverse(perm) -> tuple:
 
 
 def reduce(d: TreeDiagram) -> TreeDiagram:
-    """The reduced diagram: matched caret pairs collapsed to the fixpoint by
-    `TreePair.freeze`, bottom-up along the range.  The reduced diagram is
-    unique, so the collapse order does not matter; the test suite checks
-    this one against every order on small diagrams and against a walk over
-    partner addresses."""
+    """The reduced diagram: `TreePair.freeze` collapses matched carets,
+    bottom-up along the range.  It is unique, so the order does not matter;
+    the tests check it against every order and a partner-address walk."""
     return TreePair(d).freeze()
 
 
@@ -121,6 +119,18 @@ def _graft(tree, items, perm) -> list:
     return walk(tree)
 
 
+def _label(node, split: dict, fresh, leaves) -> int:
+    """A domain node's id, its children's ids put in `split`.  A loop in a
+    module function: one frame per level, and no self-referencing closure."""
+    if not node:
+        return next(leaves)
+    caret = next(fresh)
+    kids = split[caret] = []
+    for child in node:
+        kids.append(_label(child, split, fresh, leaves))
+    return caret
+
+
 class TreePair:
     """A tree pair that letters and diagrams act on in place.
 
@@ -137,18 +147,9 @@ class TreePair:
     def __init__(self, d: TreeDiagram):
         self.n = d.n
         self.range = [_graft(d.range, range(len(d.perm)), d.perm)]
-        self.split = split = {}
-        self.fresh = fresh = itertools.count(len(d.perm))
-        leaves = itertools.count()
-
-        def label(node):
-            if not node:
-                return next(leaves)
-            caret = next(fresh)
-            split[caret] = tuple(map(label, node))
-            return caret
-
-        self.root = label(d.domain)
+        self.split = {}
+        self.fresh = itertools.count(len(d.perm))
+        self.root = _label(d.domain, self.split, self.fresh, itertools.count())
 
     def _internal(self, parent: list, k: int) -> list:
         """parent[k], careted first if it is a leaf."""
@@ -156,7 +157,7 @@ class TreePair:
         if type(leaf) is not int:
             return leaf
         node = parent[k] = [next(self.fresh) for _ in range(self.n)]
-        self.split[leaf] = tuple(node)
+        self.split[leaf] = node[:]
         return node
 
     def _node(self, address) -> list:
@@ -239,7 +240,7 @@ class TreePair:
             if kids == full:
                 last = order[-n:]
                 caret = head.get(last[0])
-                if split.get(caret) == tuple(last):
+                if split.get(caret) == last:
                     del split[caret]
                     order[-n:] = [caret]
                     return LEAF
@@ -252,10 +253,9 @@ class TreePair:
             return LEAF
 
         range_ = build(self.range[0])
-        m = len(order)
+        position = {leaf: k for k, leaf in enumerate(order, start=1)}
         domain = read(self.root)
-        position = {leaf: k for k, leaf in enumerate(order[:m], start=1)}
-        perm = tuple([position[leaf] for leaf in order[m:]])
+        perm = tuple([position[leaf] for leaf in order[len(position):]])
         return _trusted(n, domain, range_, perm)
 
 
