@@ -10,9 +10,10 @@ diagrams act on a mutable `TreePair`, which gives every domain node an id
 and holds the range as nested lists of leaf ids, by substitution at nodes
 of that range, careting leaves where they need nodes: `multiply` lets the
 second factor act on the first, `coherence.eval_diagram` each letter on
-the identity.  `TreePair.freeze` reduces in the walk that builds the range
-tuple, collapsing each range node whose leaf ids are the children of one
-domain caret; `reduce` is a `freeze` of the diagram's own pair.
+the identity.  `TreePair.freeze` reads both trees with one walk, `_read`,
+and reduces as it reads the range, collapsing each range node whose leaf
+ids are the children of one domain caret; `reduce` is a `freeze` of the
+diagram's own pair.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -111,12 +112,12 @@ def _graft(tree, items, perm) -> list:
     placed = [None] * len(perm)
     for item, k in zip(items, perm):
         placed[k - 1] = item
-    grafts = iter(placed)
+    return _place(tree, iter(placed))
 
-    def walk(node):
-        return list(map(walk, node)) if node else next(grafts)
 
-    return walk(tree)
+def _place(node, grafts) -> list:
+    """`node` as nested lists, its leaves filled from `grafts` in order."""
+    return list(map(_place, node, itertools.repeat(grafts))) if node else next(grafts)
 
 
 def _label(node, split: dict, fresh, leaves) -> int:
@@ -129,6 +130,29 @@ def _label(node, split: dict, fresh, leaves) -> int:
     for child in node:
         kids.append(_label(child, split, fresh, leaves))
     return caret
+
+
+def _read(node, split: dict, head: dict, order: list):
+    """The tuple of a range node (a list) or of a domain id (its children in
+    `split`); any other node is a leaf, its id appended to `order`.  A node
+    whose children all came back as leaves collapses when their ids are, in
+    order, the children of the caret `head` names by its first child: it
+    becomes a leaf with the caret's id, and the caret leaves `split`."""
+    kids = node if type(node) is list else split.get(node)
+    if kids is None:
+        order.append(node)
+        return LEAF
+    out = []
+    for kid in kids:
+        out.append(_read(kid, split, head, order))
+    if not any(out):
+        last = order[-len(out) :]
+        caret = head.get(last[0])
+        if split.get(caret) == last:
+            del split[caret]
+            order[-len(out) :] = [caret]
+            return LEAF
+    return tuple(out)
 
 
 class TreePair:
@@ -189,17 +213,18 @@ class TreePair:
         if d.n != self.n:
             raise TermError("cannot multiply diagrams of different arity")
         hanging = []
-
-        def match(node, parent, k):
-            if not node:
-                hanging.append(parent[k])
-                return
-            below = self._internal(parent, k)
-            for j, child in enumerate(node):
-                match(child, below, j)
-
-        match(d.domain, self.range, 0)
+        self._match(d.domain, self.range, 0, hanging)
         self.range[0] = _graft(d.range, hanging, d.perm)
+
+    def _match(self, node, parent: list, k: int, hanging: list) -> None:
+        """Match `node` against parent[k], careting where it needs a node;
+        the subtrees at its leaves go to `hanging`, left to right."""
+        if not node:
+            hanging.append(parent[k])
+            return
+        below = self._internal(parent, k)
+        for j, child in enumerate(node):
+            self._match(child, below, j, hanging)
 
     def is_trivial(self) -> bool:
         """True iff the pair represents the identity: every expansion of
@@ -220,43 +245,20 @@ class TreePair:
         """The reduced diagram of the pair.  This ends the pair: it deletes
         the carets it collapses from `split`.
 
-        A post-order walk of the range builds its tuple and its leaf order.
-        A range node whose n children came back as leaves collapses when
-        their ids are, in order, the children of one caret in `split`: the
-        node becomes a leaf with the caret's id, and the caret leaves
-        `split`.  Whether a node collapses depends only on what lies below
-        it, so one walk reaches the fixpoint.  The domain is then read off
-        `split` from `root`, and the perm off the ids.
+        One post-order walk, `_read`, builds each tree and its leaf order.
+        On the range it collapses each node whose leaf ids are the children
+        of one caret in `split`.  Whether a node collapses depends only on
+        what lies below it, so one walk reaches the fixpoint.  The domain is
+        then read off `split` from `root`, with no caret to collapse into,
+        and the perm off the ids.
         """
-        n, split = self.n, self.split
+        split, order = self.split, []
         head = {kids[0]: caret for caret, kids in split.items()}
-        order, full = [], (LEAF,) * n
-
-        def build(node):
-            if type(node) is int:
-                order.append(node)
-                return LEAF
-            kids = tuple(map(build, node))
-            if kids == full:
-                last = order[-n:]
-                caret = head.get(last[0])
-                if split.get(caret) == last:
-                    del split[caret]
-                    order[-n:] = [caret]
-                    return LEAF
-            return kids
-
-        def read(node):
-            if node in split:
-                return tuple(map(read, split[node]))
-            order.append(node)
-            return LEAF
-
-        range_ = build(self.range[0])
+        range_ = _read(self.range[0], split, head, order)
         position = {leaf: k for k, leaf in enumerate(order, start=1)}
-        domain = read(self.root)
+        domain = _read(self.root, split, {}, order)
         perm = tuple([position[leaf] for leaf in order[len(position):]])
-        return _trusted(n, domain, range_, perm)
+        return _trusted(self.n, domain, range_, perm)
 
 
 def multiply(d1: TreeDiagram, d2: TreeDiagram) -> TreeDiagram:
@@ -356,29 +358,16 @@ def from_json_dict(data: dict) -> TreeDiagram:
     return TreeDiagram(n, domain, range_, tuple(perm))
 
 
-def _dot_tree(tree, tag: str, lines: list) -> dict:
-    """Emit one tree; returns leaf index -> node id."""
-    leaf_ids = {}
-    counter = [0]
-
-    def node_id(prefix) -> str:
-        suffix = "_".join(str(k) for k in prefix)
-        return f"{tag}_{suffix}" if suffix else tag
-
-    def walk(node, prefix):
-        me = node_id(prefix)
-        if is_leaf(node):
-            counter[0] += 1
-            leaf_ids[counter[0]] = me
-            lines.append(f'    {me} [shape=box, label="{counter[0]}"];')
-            return
-        lines.append(f'    {me} [shape=point];')
-        for k, child in enumerate(node, start=1):
-            walk(child, prefix + (k,))
-            lines.append(f"    {me} -- {node_id(prefix + (k,))};")
-
-    walk(tree, ())
-    return leaf_ids
+def _dot_tree(node, me: str, lines: list, leaf_ids: dict) -> None:
+    """Emit the subtree at Graphviz node `me`; record leaf index -> node id."""
+    if not node:
+        leaf_ids[len(leaf_ids) + 1] = me
+        lines.append(f'    {me} [shape=box, label="{len(leaf_ids)}"];')
+        return
+    lines.append(f"    {me} [shape=point];")
+    for k, child in enumerate(node, start=1):
+        _dot_tree(child, f"{me}_{k}", lines, leaf_ids)
+        lines.append(f"    {me} -- {me}_{k};")
 
 
 def to_dot(d: TreeDiagram) -> str:
@@ -386,11 +375,12 @@ def to_dot(d: TreeDiagram) -> str:
     lines = ["graph tree_diagram {"]
     lines.append("  subgraph cluster_domain {")
     lines.append('    label="domain";')
-    dom_ids = _dot_tree(d.domain, "d", lines)
+    dom_ids, ran_ids = {}, {}
+    _dot_tree(d.domain, "d", lines, dom_ids)
     lines.append("  }")
     lines.append("  subgraph cluster_range {")
     lines.append('    label="range";')
-    ran_ids = _dot_tree(d.range, "r", lines)
+    _dot_tree(d.range, "r", lines, ran_ids)
     lines.append("  }")
     for i in range(1, len(d.perm) + 1):
         lines.append(

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -267,6 +268,65 @@ def test_dot_export():
     assert "cluster_domain" in dot and "cluster_range" in dot
     assert dot.count("style=dashed") == 2
     assert "d_1 -- r_2" in dot
+
+
+def test_dot_export_golden():
+    # node ids name the path from the root; each edge follows its subtree
+    d = TreeDiagram(2, (caret(2), LEAF), (LEAF, caret(2)), (2, 3, 1))
+    assert to_dot(d) == """graph tree_diagram {
+  subgraph cluster_domain {
+    label="domain";
+    d [shape=point];
+    d_1 [shape=point];
+    d_1_1 [shape=box, label="1"];
+    d_1 -- d_1_1;
+    d_1_2 [shape=box, label="2"];
+    d_1 -- d_1_2;
+    d -- d_1;
+    d_2 [shape=box, label="3"];
+    d -- d_2;
+  }
+  subgraph cluster_range {
+    label="range";
+    r [shape=point];
+    r_1 [shape=box, label="1"];
+    r -- r_1;
+    r_2 [shape=point];
+    r_2_1 [shape=box, label="2"];
+    r_2 -- r_2_1;
+    r_2_2 [shape=box, label="3"];
+    r_2 -- r_2_2;
+    r -- r_2;
+  }
+  d_1_1 -- r_2_1 [style=dashed, constraint=false];
+  d_1_2 -- r_2_2 [style=dashed, constraint=false];
+  d_2 -- r_1 [style=dashed, constraint=false];
+}
+"""
+
+
+def test_no_cyclic_garbage():
+    # the walks are module functions and methods, not self-recursive
+    # closures, so what they build is freed by reference count
+    rng = random.Random(31)
+    pool = [random_reduced_diagram(2, rng) for _ in range(100)]
+    expanded = [expand_diagram(d, 1) for d in pool]
+    words = [random_word(rng, 2, "sc", 6, max_depth=3) for _ in range(100)]
+    eval_diagram(words[0], 2, "sc")  # fills the theory cache
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b, c, word in zip(pool, pool[1:] + pool[:1], expanded, words):
+            multiply(a, b)
+            invert_diagram(a)
+            reduce(c)
+            eval_diagram(word, 2, "sc")
+            to_dot(a)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_diagram_validation():
