@@ -36,6 +36,7 @@ from .terms import (
     lmb,
     orthogonal,
     parse_address,
+    parse_digits,
     subterm,
     underlying_list,
     variable_addresses,
@@ -116,7 +117,12 @@ def parse_word(text: str) -> GeneratorWord:
             raise ParseError(f"bad generator token {token!r}")
         address = parse_address(token[open_bracket + 1 : -1])
         out.append(
-            Generator(head.lower(), int(digits), 1 if head.islower() else -1, address)
+            Generator(
+                head.lower(),
+                parse_digits(digits, "generator index"),
+                1 if head.islower() else -1,
+                address,
+            )
         )
     return tuple(out)
 

@@ -13,7 +13,10 @@ second factor act on the first, `coherence.eval_diagram` each letter on
 the identity.  `TreePair.freeze` reads both trees with one walk, `_read`,
 and reduces as it reads the range, collapsing each range node whose leaf
 ids are the children of one domain caret; `reduce` is a `freeze` of the
-diagram's own pair.
+diagram's own pair, which keeps the domain tuple when nothing collapses.
+Every walk is a plain loop in a module function or method, one Python
+frame per internal node: a leaf child is handled in its parent's loop, and
+no walk is a closure or calls itself through `map` or a generator.
 
 `to_diagram` maps a linear seed operator to a reduced diagram: the two term
 shapes plus the leaf permutation induced by the variable correspondence.
@@ -108,43 +111,51 @@ def invert_diagram(d: TreeDiagram) -> TreeDiagram:
 
 
 def _graft(tree, items, perm) -> list:
-    """`tree` as nested lists, its leaf perm[j] replaced by items[j]."""
+    """`[tree]` as nested lists, its leaf perm[j] replaced by items[j]: the
+    holder of a range, whose root is its one child."""
     placed = [None] * len(perm)
     for item, k in zip(items, perm):
         placed[k - 1] = item
-    return _place(tree, iter(placed))
+    grafts = iter(placed)
+    return [_place(tree, grafts) if tree else next(grafts)]
 
 
 def _place(node, grafts) -> list:
-    """`node` as nested lists, its leaves filled from `grafts` in order."""
-    return list(map(_place, node, itertools.repeat(grafts))) if node else next(grafts)
+    """The internal `node` as nested lists, its leaves filled from `grafts`
+    in order."""
+    out = []
+    for kid in node:
+        out.append(_place(kid, grafts) if kid else next(grafts))
+    return out
 
 
 def _label(node, split: dict, fresh, leaves) -> int:
-    """A domain node's id, its children's ids put in `split`.  A loop in a
-    module function: one frame per level, and no self-referencing closure."""
-    if not node:
-        return next(leaves)
+    """The internal domain node's id, its children's ids put in `split`."""
     caret = next(fresh)
     kids = split[caret] = []
-    for child in node:
-        kids.append(_label(child, split, fresh, leaves))
+    for kid in node:
+        kids.append(_label(kid, split, fresh, leaves) if kid else next(leaves))
     return caret
 
 
 def _read(node, split: dict, head: dict, order: list):
     """The tuple of a range node (a list) or of a domain id (its children in
-    `split`); any other node is a leaf, its id appended to `order`.  A node
-    whose children all came back as leaves collapses when their ids are, in
-    order, the children of the caret `head` names by its first child: it
-    becomes a leaf with the caret's id, and the caret leaves `split`."""
+    `split`); any other node is a leaf, its id appended to `order`.  Leaf
+    children are read in the loop, without a call.  A node whose children
+    are all leaves collapses when their ids are, in order, the children of
+    the caret `head` names by its first child: it becomes a leaf with the
+    caret's id, and the caret leaves `split`."""
     kids = node if type(node) is list else split.get(node)
     if kids is None:
         order.append(node)
         return LEAF
     out = []
     for kid in kids:
-        out.append(_read(kid, split, head, order))
+        if type(kid) is list or kid in split:
+            out.append(_read(kid, split, head, order))
+        else:
+            order.append(kid)
+            out.append(LEAF)
     if not any(out):
         last = order[-len(out) :]
         caret = head.get(last[0])
@@ -166,14 +177,19 @@ class TreePair:
     Where an action needs a node, a range leaf is careted into n fresh ids
     and the caret recorded in `split`; the domain grows by the same caret,
     so the pair is the most general one the actions so far apply to.
+    `domain` and `carets` keep the diagram's domain tuple and caret count,
+    for `freeze` to return that tuple when nothing changed the domain.
     """
 
     def __init__(self, d: TreeDiagram):
         self.n = d.n
-        self.range = [_graft(d.range, range(len(d.perm)), d.perm)]
+        self.range = _graft(d.range, range(len(d.perm)), d.perm)
         self.split = {}
         self.fresh = itertools.count(len(d.perm))
-        self.root = _label(d.domain, self.split, self.fresh, itertools.count())
+        self.root = 0
+        if d.domain:
+            self.root = _label(d.domain, self.split, self.fresh, itertools.count())
+        self.domain, self.carets = d.domain, len(self.split)
 
     def _internal(self, parent: list, k: int) -> list:
         """parent[k], careted first if it is a leaf."""
@@ -207,24 +223,25 @@ class TreePair:
         node[i - 1], node[i] = node[i], node[i - 1]
 
     def act(self, d: TreeDiagram) -> None:
-        """Follow the pair by `d`: match d's domain against the range,
-        careting where it needs a node, and graft the subtrees hanging
-        below its leaves into d's range by d's perm."""
+        """Follow the pair by `d`: match d's domain, as the one child of a
+        node, against the range's holder, careting where it needs a node,
+        and graft the subtrees hanging below its leaves into d's range by
+        d's perm."""
         if d.n != self.n:
             raise TermError("cannot multiply diagrams of different arity")
         hanging = []
-        self._match(d.domain, self.range, 0, hanging)
-        self.range[0] = _graft(d.range, hanging, d.perm)
+        self._match((d.domain,), self.range, hanging)
+        self.range = _graft(d.range, hanging, d.perm)
 
-    def _match(self, node, parent: list, k: int, hanging: list) -> None:
-        """Match `node` against parent[k], careting where it needs a node;
-        the subtrees at its leaves go to `hanging`, left to right."""
-        if not node:
-            hanging.append(parent[k])
-            return
-        below = self._internal(parent, k)
-        for j, child in enumerate(node):
-            self._match(child, below, j, hanging)
+    def _match(self, node, below: list, hanging: list) -> None:
+        """Match the internal `node` against the range node `below`,
+        careting where it needs a node; the subtrees at its leaves go to
+        `hanging`, left to right."""
+        for k, kid in enumerate(node):
+            if kid:
+                self._match(kid, self._internal(below, k), hanging)
+            else:
+                hanging.append(below[k])
 
     def is_trivial(self) -> bool:
         """True iff the pair represents the identity: every expansion of
@@ -248,13 +265,21 @@ class TreePair:
         One post-order walk, `_read`, builds each tree and its leaf order.
         On the range it collapses each node whose leaf ids are the children
         of one caret in `split`.  Whether a node collapses depends only on
-        what lies below it, so one walk reaches the fixpoint.  The domain is
-        then read off `split` from `root`, with no caret to collapse into,
-        and the perm off the ids.
+        what lies below it, so one walk reaches the fixpoint.  If no caret
+        was added since `__init__` and none collapsed, the domain is the
+        diagram's own tuple, its leaves the ids 0..m-1 in order, and the
+        perm is read off `order`.  Otherwise the domain is read off `split`
+        from `root`, with no caret to collapse into, and the perm off the
+        ids.
         """
         split, order = self.split, []
         head = {kids[0]: caret for caret, kids in split.items()}
         range_ = _read(self.range[0], split, head, order)
+        if len(split) == len(head) == self.carets:
+            perm = [0] * len(order)
+            for k, leaf in enumerate(order, start=1):
+                perm[leaf] = k
+            return _trusted(self.n, self.domain, range_, tuple(perm))
         position = {leaf: k for k, leaf in enumerate(order, start=1)}
         domain = _read(self.root, split, {}, order)
         perm = tuple([position[leaf] for leaf in order[len(position):]])
@@ -290,7 +315,10 @@ def tree_of_term(t: Term):
     """Forget leaf labels, keep the shape."""
     if isinstance(t, Var):
         return LEAF
-    return tuple(tree_of_term(c) for c in t.children)
+    out = []
+    for kid in t.children:
+        out.append(LEAF if isinstance(kid, Var) else tree_of_term(kid))
+    return tuple(out)
 
 
 def to_diagram(op: Operator, n: int) -> TreeDiagram:
@@ -316,9 +344,12 @@ def to_diagram(op: Operator, n: int) -> TreeDiagram:
 
 
 def _tree_to_json(tree):
-    if is_leaf(tree):
+    if not tree:
         return 0
-    return list(map(_tree_to_json, tree))
+    out = []
+    for kid in tree:
+        out.append(_tree_to_json(kid) if kid else 0)
+    return out
 
 
 def _tree_from_json(value):
@@ -328,7 +359,10 @@ def _tree_from_json(value):
         raise TermError(f"a JSON tree is 0 or a list of trees, not {type(value).__name__}")
     if not value:
         raise TermError("a JSON tree is 0 or a non-empty list of trees, not []")
-    return tuple(_tree_from_json(c) for c in value)
+    out = []
+    for kid in value:
+        out.append(_tree_from_json(kid))
+    return tuple(out)
 
 
 def to_json_dict(d: TreeDiagram) -> dict:

@@ -12,7 +12,11 @@ exhaustive shape enumeration checked against the generalized Catalan numbers.
 Two walkers visit a term, each with an explicit stack rather than recursion:
 `subterms` yields every (address, subterm) pair in pre-order, and
 `underlying_list` builds the leaf word.  The address and variable queries
-below are read off one or the other.
+below are read off one or the other.  The walks that build terms or text
+recurse, at one Python frame per level: each is a plain loop in a module
+function, `apply_subst`, `format_term` and `_label_shape` handle a leaf
+child in the parent's loop, and none is a closure or calls itself through
+`map` or a generator.
 """
 
 from __future__ import annotations
@@ -230,7 +234,13 @@ def apply_subst(t: Term, subst: dict) -> Term:
     """
     if isinstance(t, Var):
         return subst.get(t.name, t)
-    return App(t.symbol, tuple(map(apply_subst, t.children, itertools.repeat(subst))))
+    kids = []
+    for kid in t.children:
+        if isinstance(kid, Var):
+            kids.append(subst.get(kid.name, kid))
+        else:
+            kids.append(apply_subst(kid, subst))
+    return App(t.symbol, tuple(kids))
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +360,24 @@ def normalize_to_lmb(t: Term, n: int):
     """
 
     steps: list = []
+    return _normalize(t, (), n, steps), steps
 
-    def norm(u: Term, base: tuple) -> Term:
-        if isinstance(u, Var):
-            return u
-        while True:
-            kids = u.children
-            pos = [k for k in range(2, n + 1) if isinstance(kids[k - 1], App)]
-            if not pos:
-                break
-            i = max(pos) - 1
-            steps.append((i, base))
-            u = apply_assoc(u, i, ())
-        first = norm(u.children[0], base + (1,))
-        return App(u.symbol, (first,) + u.children[1:])
 
-    result = norm(t, ())
-    return result, steps
+def _normalize(u: Term, base: tuple, n: int, steps: list) -> Term:
+    """`normalize_to_lmb` of the subterm u at address `base`, its steps
+    appended to `steps`."""
+    if isinstance(u, Var):
+        return u
+    while True:
+        kids = u.children
+        pos = [k for k in range(2, n + 1) if isinstance(kids[k - 1], App)]
+        if not pos:
+            break
+        i = max(pos) - 1
+        steps.append((i, base))
+        u = apply_assoc(u, i, ())
+    first = _normalize(u.children[0], base + (1,), n, steps)
+    return App(u.symbol, (first,) + u.children[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +406,19 @@ def _shapes(n: int, k: int) -> tuple:
         return (None,)
     out = []
     for comp in _compositions(k - 1, n):
-        for kids in itertools.product(*(_shapes(n, c) for c in comp)):
-            out.append(kids)
+        choices = []
+        for c in comp:
+            choices.append(_shapes(n, c))
+        out.extend(itertools.product(*choices))
     return tuple(out)
 
 
-def _label_shape(shape, labels_iter) -> Term:
-    if shape is None:
-        return Var(next(labels_iter))
-    return App(CAT, tuple(_label_shape(c, labels_iter) for c in shape))
+def _label_shape(shape, labels) -> Term:
+    """The internal `shape` as a term, its leaves named from `labels`."""
+    kids = []
+    for kid in shape:
+        kids.append(Var(next(labels)) if kid is None else _label_shape(kid, labels))
+    return App(CAT, tuple(kids))
 
 
 def enumerate_terms(n: int, k: int, labels=None) -> list:
@@ -421,6 +436,8 @@ def enumerate_terms(n: int, k: int, labels=None) -> list:
     labels = list(labels)
     if len(labels) != m:
         raise TermError(f"need exactly {m} leaf labels, got {len(labels)}")
+    if k == 0:
+        return [Var(labels[0])]
     return [_label_shape(shape, iter(labels)) for shape in _shapes(n, k)]
 
 
@@ -431,7 +448,9 @@ def enumerate_terms(n: int, k: int, labels=None) -> list:
 def format_term(t: Term, signature: Signature) -> str:
     if isinstance(t, Var):
         return t.name
-    kids = map(format_term, t.children, itertools.repeat(signature))
+    kids = []
+    for kid in t.children:
+        kids.append(kid.name if isinstance(kid, Var) else format_term(kid, signature))
     if signature.single_symbol is not None:
         return f"({' '.join(kids)})"
     return f"{t.symbol}({','.join(kids)})"
@@ -464,74 +483,62 @@ def parse_term(text: str, signature: Signature) -> Term:
     signatures use `name(t1,...,tk)`; bare identifiers are variables.
     """
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of term text")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    single = signature.single_symbol
-
-    def parse() -> Term:
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of term text")
-        if single is not None:
-            if tok == "(":
-                take("(")
-                kids = []
-                while peek() != ")":
-                    if peek() is None:
-                        raise ParseError("unbalanced parenthesis")
-                    if peek() == ",":
-                        raise ParseError("commas are not used with a tuple signature")
-                    kids.append(parse())
-                take(")")
-                n = signature.arity(single)
-                if len(kids) != n:
-                    raise ParseError(
-                        f"tuple of {len(kids)} children, expected {n}"
-                    )
-                return App(single, tuple(kids))
-            take()
-            if not _IDENT.match(tok):
-                raise ParseError(f"bad token {tok!r}")
-            return Var(tok)
-        take()
-        if not _IDENT.match(tok):
-            raise ParseError(f"bad token {tok!r}")
-        if peek() == "(":
-            if tok not in signature.arities:
-                raise ParseError(f"unknown symbol {tok!r}")
-            take("(")
-            kids = [parse()]
-            while peek() == ",":
-                take(",")
-                kids.append(parse())
-            take(")")
-            if len(kids) != signature.arity(tok):
-                raise ParseError(
-                    f"symbol {tok!r} applied to {len(kids)} arguments, "
-                    f"expected {signature.arity(tok)}"
-                )
-            return App(tok, tuple(kids))
-        if tok in signature.arities:
-            raise ParseError(f"symbol {tok!r} used without arguments")
-        return Var(tok)
-
-    out = parse()
+    out, pos = _parse(tokens, 0, signature)
     if pos != len(tokens):
         raise ParseError(f"trailing input after term: {tokens[pos:]}")
     return out
+
+
+def _peek(tokens: list, pos: int):
+    return tokens[pos] if pos < len(tokens) else None
+
+
+def _parse(tokens: list, pos: int, signature: Signature):
+    """The term that starts at tokens[pos], and the position after it."""
+    tok = _peek(tokens, pos)
+    if tok is None:
+        raise ParseError("unexpected end of term text")
+    pos += 1
+    single = signature.single_symbol
+    if single is not None and tok == "(":
+        kids = []
+        while (nxt := _peek(tokens, pos)) != ")":
+            if nxt is None:
+                raise ParseError("unbalanced parenthesis")
+            if nxt == ",":
+                raise ParseError("commas are not used with a tuple signature")
+            kid, pos = _parse(tokens, pos, signature)
+            kids.append(kid)
+        n = signature.arity(single)
+        if len(kids) != n:
+            raise ParseError(f"tuple of {len(kids)} children, expected {n}")
+        return App(single, tuple(kids)), pos + 1
+    if not _IDENT.match(tok):
+        raise ParseError(f"bad token {tok!r}")
+    if single is not None:
+        return Var(tok), pos
+    if _peek(tokens, pos) == "(":
+        if tok not in signature.arities:
+            raise ParseError(f"unknown symbol {tok!r}")
+        kid, pos = _parse(tokens, pos + 1, signature)
+        kids = [kid]
+        while _peek(tokens, pos) == ",":
+            kid, pos = _parse(tokens, pos + 1, signature)
+            kids.append(kid)
+        close = _peek(tokens, pos)
+        if close is None:
+            raise ParseError("unexpected end of term text")
+        if close != ")":
+            raise ParseError(f"expected ')', found {close!r}")
+        if len(kids) != signature.arity(tok):
+            raise ParseError(
+                f"symbol {tok!r} applied to {len(kids)} arguments, "
+                f"expected {signature.arity(tok)}"
+            )
+        return App(tok, tuple(kids)), pos + 1
+    if tok in signature.arities:
+        raise ParseError(f"symbol {tok!r} used without arguments")
+    return Var(tok), pos
 
 
 def format_address(address: Address) -> str:
@@ -548,7 +555,16 @@ def parse_address(text: str) -> tuple:
     parts = text.split(".")
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError(f"bad address text {text!r}")
-    indices = tuple(map(int, parts))
+    indices = tuple([parse_digits(p, "address step") for p in parts])
     if any(i < 1 for i in indices):
         raise ParseError(f"address indices must be positive: {text!r}")
     return indices
+
+
+def parse_digits(digits: str, what: str) -> int:
+    """A string of ASCII digits as an int.  One too long for the
+    interpreter's int-string conversion limit raises ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} of {len(digits)} digits is too long") from None

@@ -21,16 +21,16 @@ def caret(n: int):
 def leaves(tree) -> tuple:
     """Leaf addresses in lexicographic (left-to-right) order."""
     out = []
-
-    def walk(node, prefix):
-        if is_leaf(node):
-            out.append(prefix)
-            return
-        for k, child in enumerate(node, start=1):
-            walk(child, prefix + (k,))
-
-    walk(tree, ())
+    _leaf_addresses(tree, (), out)
     return tuple(out)
+
+
+def _leaf_addresses(node, prefix: tuple, out: list) -> None:
+    if is_leaf(node):
+        out.append(prefix)
+        return
+    for k, child in enumerate(node, start=1):
+        _leaf_addresses(child, prefix + (k,), out)
 
 
 def leaf_count(tree) -> int:

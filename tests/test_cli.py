@@ -175,6 +175,23 @@ def test_deep_term_exit_code(capsys):
     assert (code, out, err) == (2, "", "error: input nested too deeply\n")
 
 
+def test_huge_number_exit_code(capsys):
+    # CPython refuses int() of more than 4 300 digits; a generator index or
+    # address step that long is a bad token like any other
+    ones = "1" * 5000
+    for word in (f"a{ones}[-]", f"a1[{ones}]"):
+        for argv in (
+            ("word", "eq", "--n", "2", "--theory", "c", word, "--", "a1[-]"),
+            ("word", "eq", "--n", "2", "--theory", "c", "a1[-]", "--", word),
+            ("word", "eval", "--n", "2", "--theory", "c", word),
+            ("op", "compose", "--n", "2", "--theory", "c", word),
+            ("export", "dot", "--n", "2", "--theory", "c", word),
+        ):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_out_of_memory_exit_code(capsys, monkeypatch):
     def exhausted(args, second_word):
         raise MemoryError
@@ -214,9 +231,9 @@ def test_long_word_eq_recursion_headroom(capsys):
 
 
 def test_long_word_compose_recursion_headroom(capsys):
-    # The seed path spends about two units of the recursion limit per term
-    # level, and 330 letters a1[-] nest the seed 331 levels deep.
-    word = " ".join(["a1[-]"] * 330)
+    # The seed path recurses once per term level: 900 letters a1[-] nest
+    # the seed 901 levels deep.
+    word = " ".join(["a1[-]"] * 900)
     code, out, err = invoke(capsys, "op", "compose", "--n", "2", "--theory", "c", word)
     assert (code, err) == (0, "")
     assert out.count(" -> ") == 1

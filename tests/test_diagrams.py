@@ -197,6 +197,37 @@ def test_tree_pair_round_trip():
             assert pair.freeze() == multiply(reduced, e)
 
 
+def test_freeze_keeps_an_untouched_domain():
+    # a reduced diagram's inverse swaps its trees: freeze carets nothing and
+    # collapses nothing, so it returns the input's own domain tuple
+    rng = random.Random(29)
+    for _ in range(1000):
+        d = random_reduced_diagram(rng.choice((2, 3, 4)), rng, max_carets=5)
+        inverse_perm = [0] * len(d.perm)
+        for i, y in enumerate(d.perm, start=1):
+            inverse_perm[y - 1] = i
+        inverse = invert_diagram(d)
+        assert inverse == TreeDiagram(d.n, d.range, d.domain, tuple(inverse_perm))
+        assert inverse.domain is d.range
+        assert invert_diagram(inverse) == d
+
+
+def test_freeze_after_one_caret_and_one_collapse():
+    # b's domain carets a's range leaf 3, so a's domain leaf 1; the product
+    # (3, 4, 2, 1) then (3, 2, 4, 1) sends domain leaves 3 and 4 to the
+    # sibling range leaves 2 and 3, which collapse with a's caret at
+    # address 2.  The caret count is back where it started, the domain not.
+    a = TreeDiagram(2, (LEAF, caret(2)), (caret(2), LEAF), (3, 2, 1))
+    b = TreeDiagram(2, (caret(2), caret(2)), ((LEAF, caret(2)), LEAF), (3, 2, 4, 1))
+    pair = TreePair(a)
+    pair.act(b)
+    assert len(pair.split) == pair.carets + 1
+    product = pair.freeze()
+    assert len(pair.split) == pair.carets
+    assert product == TreeDiagram(2, (caret(2), LEAF), (caret(2), LEAF), (3, 1, 2))
+    assert multiply(a, b) == product
+
+
 def test_trusted_results_equal_their_checked_twins():
     rng = random.Random(8)
     for n in (2, 3):
@@ -259,6 +290,16 @@ def test_json_round_trip():
         for _ in range(20):
             d = random_reduced_diagram(n, rng)
             assert from_json_dict(json.loads(to_json(d))) == d
+
+
+def test_json_round_trip_of_a_deep_diagram():
+    # the JSON walks take one frame per level: 900 levels fit the default
+    # recursion limit
+    comb = LEAF
+    for _ in range(900):
+        comb = (LEAF, comb)
+    d = TreeDiagram(2, comb, comb, tuple(range(1, 902)))
+    assert from_json_dict(to_json_dict(d)) == d
 
 
 def test_dot_export():
