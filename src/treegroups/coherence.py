@@ -37,6 +37,7 @@ from .terms import (
     orthogonal,
     parse_address,
     parse_digits,
+    rank,
     subterm,
     underlying_list,
     variable_addresses,
@@ -487,50 +488,47 @@ def check_coherence(n: int, max_nodes: int = 4):
     returns (all passed, report lines).  A line reads PASS when every fork
     reachable from the term closes and the term's positive paths end at its
     left comb with one diagram.  By induction on rank that holds when the
-    term's forks close and its successors pass, so each term is visited once
-    and `paths=` sums its successors' counts.
+    term's forks close and its successors pass.  A regroup step keeps the
+    leaf word and the node count and lowers the rank, so the terms with k
+    nodes are decided once each in ascending rank, after their successors,
+    and `paths=` sums the successors' counts.  A successor that is not
+    decided yet fails the term, and so does one outside the enumeration (a
+    step that changes the leaf word).  The lines come in enumeration order.
     """
     _check_size(n, max_nodes, "max_nodes")
     lines = []
     all_ok = True
     theory = catalan_theory(n)
-    memo = {}
-
-    def visit(t: Term) -> tuple:
-        if t in memo:
-            return memo[t]
-        memo[t] = (False, 0, 0)  # a rule that cycles back to t fails it
-        letters = applicable_positive(t, n)
-        word = underlying_list(t)
-        ok, paths = (True, 0) if letters else (t == lmb(word, n), 1)
-        for m1, m2 in itertools.combinations(letters, 2):
-            w1, w2, family = fill_square(t, n, m1, m2)
-            end = apply_word_to_term(t, (m1,) + w1, theory)
-            ok = (
-                ok
-                and family in ("functoriality", "naturality") + CATALAN_FAMILIES
-                and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
-                and end is not None
-                and end == apply_word_to_term(t, (m2,) + w2, theory)
-                and words_equal((m1,) + w1, (m2,) + w2, n, "c")
-            )
-        for g in letters:
-            successor = apply_generator(t, g, theory)
-            passed, count, _ = (False, 0, 0) if successor is None else visit(successor)
-            ok = ok and passed and underlying_list(successor) == word
-            paths += count
-        memo[t] = (ok, paths, math.comb(len(letters), 2))
-        return memo[t]
-
     for k in range(max_nodes + 1):
-        for t in enumerate_terms(n, k):
-            ok, paths, pairs = visit(t)
+        terms = enumerate_terms(n, k)
+        decided = {}  # term -> (ok, paths); every key has the same leaf word
+        report = {}
+        for t in sorted(terms, key=rank):
+            letters = applicable_positive(t, n)
+            ok, paths = (True, 0) if letters else (t == lmb(underlying_list(t), n), 1)
+            for m1, m2 in itertools.combinations(letters, 2):
+                w1, w2, family = fill_square(t, n, m1, m2)
+                end = apply_word_to_term(t, (m1,) + w1, theory)
+                ok = (
+                    ok
+                    and family in ("functoriality", "naturality") + CATALAN_FAMILIES
+                    and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
+                    and end is not None
+                    and end == apply_word_to_term(t, (m2,) + w2, theory)
+                    and words_equal((m1,) + w1, (m2,) + w2, n, "c")
+                )
+            for g in letters:  # an undecided successor (or None) fails t
+                passed, count = decided.get(apply_generator(t, g, theory), (False, 0))
+                ok = ok and passed
+                paths += count
+            decided[t] = ok, paths
             all_ok = all_ok and ok
-            lines.append(
+            report[t] = (
                 f"coherence n={n} term={format_term(t, theory.signature)} "
-                f"pairs={pairs} "
+                f"pairs={math.comb(len(letters), 2)} "
                 f"paths={paths} {'PASS' if ok else 'FAIL'}"
             )
+        lines.extend(report[t] for t in terms)
     return all_ok, lines
 
 
@@ -551,28 +549,20 @@ def check_moore(n: int):
     exactly n! elements.  Returns (all passed, report lines).
     """
     _check_size(n)
-    lines = []
-    all_ok = True
+    checks = []  # (label, ok)
     one = identity_diagram(n)
     gens = {i: twist_diagram(n, i) for i in range(1, n)}
-
-    def record(label: str, ok: bool) -> None:
-        nonlocal all_ok
-        all_ok = all_ok and ok
-        lines.append(f"moore n={n} {label} {'PASS' if ok else 'FAIL'}")
-
     for i in range(1, n):
-        record(f"T{i}^2", multiply(gens[i], gens[i]) == one)
+        checks.append((f"T{i}^2", multiply(gens[i], gens[i]) == one))
     for i in range(1, n - 1):
         prod = multiply(gens[i], gens[i + 1])
-        record(
-            f"(T{i}T{i + 1})^3",
-            multiply(prod, multiply(prod, prod)) == one,
+        checks.append(
+            (f"(T{i}T{i + 1})^3", multiply(prod, multiply(prod, prod)) == one)
         )
     for i in range(1, n):
         for k in range(i + 2, n):
             prod = multiply(gens[i], gens[k])
-            record(f"(T{i}T{k})^2", multiply(prod, prod) == one)
+            checks.append((f"(T{i}T{k})^2", multiply(prod, prod) == one))
     if n <= 5:
         closure = {one}
         frontier = [one]
@@ -585,9 +575,10 @@ def check_moore(n: int):
                         closure.add(prod)
                         new.append(prod)
             frontier = new
-        record(f"closure={len(closure)} expected={math.factorial(n)}",
-               len(closure) == math.factorial(n))
-    return all_ok, lines
+        checks.append((f"closure={len(closure)} expected={math.factorial(n)}",
+                       len(closure) == math.factorial(n)))
+    lines = [f"moore n={n} {label} {'PASS' if ok else 'FAIL'}" for label, ok in checks]
+    return all(ok for _, ok in checks), lines
 
 
 # ---------------------------------------------------------------------------
@@ -631,33 +622,30 @@ def dual_hexagon_derivation(n: int, i: int):
     target = dual_hexagon(n, i)
     steps = [("start: dual hexagon lhs", free_reduce(target.lhs))]
 
-    def push(justification: str, word) -> None:
-        steps.append((justification, tuple(word)))
-
     # s_i = S_i by the involution
     word = substitute_once(steps[-1][1], (S(i),), (S(i, (), -1),))
-    push("involution: s%d = s%d^-1" % (i, i), word)
+    steps.append(("involution: s%d = s%d^-1" % (i, i), word))
 
     # expand S_i via the hexagon, solved for the inverse twist
     h = hexagon(n, i)
     word = substitute_once(
         word, (S(i, (), -1),), free_reduce(h.lhs[1:] + invert_word(h.rhs))
     )
-    push("hexagon: expand the inverse twist", word)
+    steps.append(("hexagon: expand the inverse twist", word))
 
     # flip the remaining inverse twists with the involution
     for k in range(1, n - 1):
         word = substitute_once(word, (S(k, (i + 1,), -1),), (S(k, (i + 1,)),))
-        push(f"involution: flip twist {k} at child {i + 1}", word)
+        steps.append((f"involution: flip twist {k} at child {i + 1}", word))
 
     # slide each twist at child i+1 through the regrouping (compatibility)
     for k in range(1, n - 1):
         c = compatibility(n, i + 1, k)
         word = substitute_once(word, c.rhs[:1], c.lhs + invert_word(c.rhs[1:]))
-        push(f"compatibility: slide twist {k} through the regrouping", word)
+        steps.append((f"compatibility: slide twist {k} through the regrouping", word))
 
     final = free_reduce(target.rhs)
     if word != final:
         raise TermError("derivation did not reach the dual hexagon rhs")
-    push("equals the dual hexagon rhs", final)
+    steps.append(("equals the dual hexagon rhs", final))
     return steps

@@ -34,10 +34,6 @@ from .operators import EMPTY, Operator
 LEAF = ()
 
 
-def is_leaf(tree) -> bool:
-    return tree == ()
-
-
 def _checked_leaf_count(tree, n: int) -> int:
     """Leaf count of a tree, raising unless every node is a tuple with 0 or
     n children."""
@@ -100,10 +96,6 @@ def reduce(d: TreeDiagram) -> TreeDiagram:
     bottom-up along the range.  It is unique, so the order does not matter;
     the tests check it against every order and a partner-address walk."""
     return TreePair(d).freeze()
-
-
-def is_reduced(d: TreeDiagram) -> bool:
-    return reduce(d) == d
 
 
 def invert_diagram(d: TreeDiagram) -> TreeDiagram:
@@ -291,15 +283,6 @@ def multiply(d1: TreeDiagram, d2: TreeDiagram) -> TreeDiagram:
     pair = TreePair(d1)
     pair.act(d2)
     return pair.freeze()
-
-
-def diagram_power(d: TreeDiagram, exponent: int) -> TreeDiagram:
-    if exponent < 0:
-        return diagram_power(invert_diagram(d), -exponent)
-    out = identity_diagram(d.n)
-    for _ in range(exponent):
-        out = multiply(out, d)
-    return out
 
 
 def is_order_preserving(d: TreeDiagram) -> bool:

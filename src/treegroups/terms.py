@@ -58,8 +58,11 @@ class App:
     children: tuple
 
     def __repr__(self) -> str:
-        kids = ", ".join(repr(c) for c in self.children)
-        return f"App({self.symbol!r}, ({kids}))"
+        # a loop calling the method directly: one Python frame per level
+        kids = []
+        for kid in self.children:
+            kids.append(kid.__repr__())
+        return f"App({self.symbol!r}, ({', '.join(kids)}))"
 
 
 # A Term is Var | App.  Addresses are tuples whose steps are 1-based child

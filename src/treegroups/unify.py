@@ -181,20 +181,16 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
     # otherwise it takes a suffixed name clear of all input names.  This
     # keeps both returned substitutions idempotent: no name occurring in a
     # range is ever nontrivially bound.
-    def keeps_base(key: tuple) -> bool:
-        base = key[1]
-        for side in (0, 1):
-            if base in names[side]:
-                end, t = _walk(side, Var(base), bindings)
-                if not isinstance(t, Var) or (end, t.name) != key:
-                    return False
-        return True
-
     remap: dict = {}
     used: set = set()
     for key in dict.fromkeys(_unbound(0, t1, bindings)):
         base = key[1]
-        if base not in used and keeps_base(key):
+        keeps = base not in used
+        for side in (0, 1):
+            if keeps and base in names[side]:
+                end, t = _walk(side, Var(base), bindings)
+                keeps = isinstance(t, Var) and (end, t.name) == key
+        if keeps:
             candidate = base
         else:
             counter = 2
@@ -205,15 +201,13 @@ def mgu(t1: Term, s2: Term) -> UnifierPair | None:
         used.add(candidate)
         remap[key] = Var(candidate)
 
-    def out_subst(side: int) -> dict:
-        result = {}
+    substs = ({}, {})
+    for side in (0, 1):
         for name in sides[side]:
             term = _resolve(side, Var(name), bindings, remap)
             if not (isinstance(term, Var) and term.name == name):
-                result[name] = term
-        return result
-
-    return UnifierPair(out_subst(0), out_subst(1))
+                substs[side][name] = term
+    return UnifierPair(*substs)
 
 
 def is_composable(pairs) -> bool:

@@ -9,9 +9,9 @@ with `treegroups.diagrams.reduce`, which collapses on node ids inside
 `TreePair.freeze`'s walk over the range.
 """
 
-from treegroups.diagrams import LEAF, TreeDiagram, is_leaf
+from treegroups.diagrams import LEAF, TreeDiagram
 
-from diagram_reference import caret, leaves, replace_node
+from diagram_reference import caret, is_leaf, leaves, replace_node
 
 
 def _carets(tree) -> list:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -46,6 +47,7 @@ from treegroups.coherence import (
     word_operator,
     words_equal,
 )
+from treegroups.unify import mgu
 
 
 def v(name):
@@ -440,6 +442,33 @@ def test_unequal_words_reported_unequal():
 def test_check_coherence_small():
     ok, lines = check_coherence(2, max_nodes=3)
     assert ok and lines
+
+
+def test_checkers_leave_no_cyclic_garbage():
+    # the checkers and the unifier are plain loops with no closure that
+    # refers to itself, so what they build is freed by reference count
+    theory = catalan_theory(2)
+    word = parse_word("a1[-] a1[2] A1[-]")
+    left, right = cat(v("x"), cat(v("y"), v("z"))), cat(cat(v("y"), v("x")), v("w"))
+
+    def run_checkers():
+        assert check_coherence(2, 3)[0]
+        assert check_moore(3)[0]
+        dual_hexagon_derivation(3, 1)
+        assert mgu(left, right) is not None
+        word_operator(word, theory)
+
+    run_checkers()  # fills the theory and shape caches
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            run_checkers()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_free_words():

@@ -18,12 +18,10 @@ from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
     TreePair,
-    diagram_power,
     from_json_dict,
     identity_diagram,
     invert_diagram,
     is_order_preserving,
-    is_reduced,
     multiply,
     reduce,
     to_diagram,
@@ -36,8 +34,10 @@ from treegroups.diagrams import (
 from collapse_reference import all_reduction_endpoints, partner_reduce
 from diagram_reference import (
     caret,
+    diagram_power,
     expand,
     expand_diagram,
+    is_reduced,
     leaf_count,
     leaves,
     random_diagram,

@@ -346,6 +346,21 @@ def test_leaf_word_queries_on_a_deep_comb():
     assert is_linear_pair(comb, comb)
 
 
+def test_repr_of_a_deep_comb():
+    # App.__repr__ is a loop at one Python frame per level, so a right comb
+    # 900 levels deep has a repr under the default recursion limit
+    assert repr(T_FG) == (
+        "App('F', (Var('w'), App('G', (Var('x'), Var('y'), Var('z')))))"
+    )
+    assert repr(App("F", (Var("x"),))) == "App('F', (Var('x')))"
+    comb = Var("x901")
+    for j in range(900, 0, -1):
+        comb = App("F", (Var(f"x{j}"), comb))
+    text = repr(comb)
+    assert text.startswith("App('F', (Var('x1'), App('F', (Var('x2'), App(")
+    assert text.endswith("(Var('x900'), Var('x901')" + "))" * 900)
+
+
 def test_signature_validation():
     with pytest.raises(TermError):
         Signature([("F", 0)])
