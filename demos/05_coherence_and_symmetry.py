@@ -7,24 +7,25 @@ from treegroups.terms import Var, cat, format_term, lmb, underlying_list
 from treegroups.operators import catalan_theory
 from treegroups.coherence import (
     A,
-    applicable_positive,
     check_moore,
     dual_hexagon_derivation,
     eval_diagram,
     fill_square,
     format_word,
     positive_paths,
+    positive_steps,
 )
 
 v = Var
-sig = catalan_theory(2).signature
+theory = catalan_theory(2)
+sig = theory.signature
 
 # two positive letters applicable at the same term always close into a
 # square from one of: functoriality, naturality, pentagon, adjacent assoc
 comb4 = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
 print("term:", format_term(comb4, sig))
 for m1, m2 in [(A(1), A(1, (2,)))]:
-    w1, w2, family = fill_square(comb4, 2, m1, m2)
+    w1, w2, family = fill_square(comb4, theory, m1, m2)
     print(f"fork {format_word([m1])} vs {format_word([m2])} closes by {family}:")
     print("  ", format_word((m1,) + w1), "==", format_word((m2,) + w2))
 
@@ -35,7 +36,7 @@ for path in paths:
     print("  ", format_word(path))
 print("all reach:", format_term(lmb(underlying_list(comb4), 2), sig))
 print("one diagram:", len({eval_diagram(p, 2, "c") for p in paths}) == 1)
-print("letters applicable at the start:", format_word(applicable_positive(comb4, 2)))
+print("letters applicable at the start:", format_word(positive_steps(comb4, theory)))
 
 # the mirrored hexagon is not an axiom: it follows by word rewriting from
 # involution, hexagon, and compatibility

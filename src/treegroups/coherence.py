@@ -28,8 +28,6 @@ from .terms import (
     TermError,
     ParseError,
     Var,
-    apply_assoc,
-    assoc_redexes,
     enumerate_terms,
     format_address,
     format_term,
@@ -37,12 +35,13 @@ from .terms import (
     orthogonal,
     parse_address,
     parse_digits,
-    rank,
     subterm,
+    subterms,
     underlying_list,
     variable_addresses,
     variables_in_order,
 )
+from .unify import match
 from .operators import (
     Operator,
     Theory,
@@ -396,19 +395,23 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2):
 # Positive paths and square filling
 
 
-def applicable_positive(t: Term, n: int) -> list:
-    """All forward regroup letters applicable at t, deterministically ordered."""
-    return [A(i, address) for i, address in assoc_redexes(t)]
-
-
-def apply_generator(t: Term, g: Generator, theory: Theory) -> Term | None:
-    tr = generator_rule(g, theory)
-    return rewrite_at(t, tr.rule, tr.address, tr.forward)
+def positive_steps(t: Term, theory: Theory) -> dict:
+    """Each forward letter whose rule source matches at a node of t, mapped
+    to the term that letter rewrites t to; in (address, rule) order, with
+    addresses in pre-order and the theory's rules in their declared order."""
+    steps = {}
+    for address, node in subterms(t):
+        if isinstance(node, App):
+            for rule in theory.rules:
+                if (u := rewrite_at(t, rule, address)) is not None:
+                    steps[Generator(rule.name[0], int(rule.name[1:]), 1, address)] = u
+    return steps
 
 
 def apply_word_to_term(t: Term, word, theory: Theory) -> Term | None:
     for g in word:
-        t = apply_generator(t, g, theory)
+        tr = generator_rule(g, theory)
+        t = rewrite_at(t, tr.rule, tr.address, tr.forward)
         if t is None:
             return None
     return t
@@ -421,64 +424,70 @@ def positive_paths(t: Term, n: int) -> list:
     left comb on t's leaf word, so this enumerates all positive paths from t
     to its normal form.
     """
-    letters = applicable_positive(t, n)
-    if not letters:
+    steps = positive_steps(t, theory_for("c", n))
+    if not steps:
         return [()]
     out = []
-    for g in letters:
-        rest = positive_paths(apply_assoc(t, g.index, g.address), n)
+    for g, u in steps.items():
+        rest = positive_paths(u, n)
         out.extend((g,) + path for path in rest)
     return out
 
 
-def fill_square(t: Term, n: int, m1: Generator, m2: Generator):
+def _follow(rule, path: tuple) -> tuple | None:
+    """Where the node at `path` below a match of the rule's source sits
+    after the rewrite: its variable's address in the target plus the rest
+    of the path, or None when the path ends inside the source pattern."""
+    node = rule.source
+    for depth, step in enumerate(path, start=1):
+        node = node.children[step - 1]
+        if isinstance(node, Var):
+            (gamma,) = variable_addresses(rule.target, node.name)
+            return gamma + path[depth:]
+    return None
+
+
+def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
     """Close the fork of two distinct positive letters applicable at t.
 
     Returns (w1, w2, family) with m1+w1 and m2+w2 equal positive words: the
     two sides of one relation instance, each without its first letter.  Of
     the two letters, `outer` acts at the shorter address and `deep` at the
-    longer.  Orthogonal addresses give functoriality; adjacent indices at
-    one address give `adjacent_assoc`; `deep` = a<n-1> at the nest that
-    `outer` moves gives `pentagon`; every other fork is naturality, with
-    `deep` followed through `outer`'s rule when it acts inside one of the
-    rule's variables.
+    longer.  Orthogonal addresses give functoriality.  When the children
+    `deep.index` and `deep.index + 1` that `deep` rearranges lie in variables
+    of `outer`'s rule and land as adjacent children of one node, the fork is
+    naturality, with `deep` moved there.  Otherwise the closing instance is
+    the one among the theory's declared families at `outer`'s address whose
+    two sides are non-empty and start with m1 and m2; with none, TermError.
     """
     if m1 == m2:
         raise TermError("fill_square needs two distinct letters")
     for m in (m1, m2):
-        if m.kind != "a" or m.sign != 1:
-            raise TermError("fill_square takes forward regroup letters")
-        node = subterm(t, m.address)
-        if (
-            node is None
-            or isinstance(node, Var)
-            or not isinstance(node.children[m.index], App)
-        ):
-            raise TermError(f"{format_generator(m)} does not apply at this term")
+        node, rule = subterm(t, m.address), generator_rule(m, theory).rule
+        if m.sign != 1 or node is None or match(rule.source, node) is None:
+            raise TermError(f"{format_generator(m)} is not a forward step at this term")
 
     if orthogonal(m1.address, m2.address):
-        return (m2,), (m1,), "functoriality"
-
-    outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
-    i, base = outer.index, outer.address
-    rest = deep.address[len(base) :]
-    if rest == () and abs(i - deep.index) == 1:
-        inst = adjacent_assoc(n, min(i, deep.index), base)
-    elif rest == (i + 1,) and deep.index == n - 1:
-        inst = pentagon(n, i, base)
+        inst = functoriality_instance(m1, m2, theory.n)
     else:
-        if rest == ():  # indices at least 2 apart: disjoint child spans
-            moved = deep
-        elif rest == (i + 1,):  # deep regroups inside the nest outer moves
-            moved = A(deep.index + 1, base + (i,))
-        else:  # deep acts inside a variable of outer's rule
-            rule, depth = theory_for("c", n).rule(f"a{i}"), 1
-            while not isinstance(var := subterm(rule.source, rest[:depth]), Var):
-                depth += 1
-            (gamma,) = variable_addresses(rule.target, var.name)
-            moved = A(deep.index, base + gamma + rest[depth:])
-        lhs, rhs = (outer, moved), (deep, outer)
-        inst = RelationInstance("naturality", n, (i, deep.index), base, lhs, rhs)
+        outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
+        rule, base = generator_rule(outer, theory).rule, outer.address
+        rest = deep.address[len(base) :]
+        left, right = [_follow(rule, rest + (j,)) for j in (deep.index, deep.index + 1)]
+        if left and right and left[:-1] == right[:-1] and left[-1] + 1 == right[-1]:
+            moved = Generator(deep.kind, left[-1], deep.sign, base + left[:-1])
+            lhs, rhs = (outer, moved), (deep, outer)
+            indices = (outer.index, deep.index)
+            inst = RelationInstance("naturality", theory.n, indices, base, lhs, rhs)
+        else:
+            families = CATALAN_FAMILIES if theory.name == "c" else SYMMETRIC_FAMILIES
+            for inst in itertools.chain.from_iterable(
+                _FAMILY_BUILDERS[family](theory.n, base) for family in families
+            ):
+                if inst.lhs and inst.rhs and {inst.lhs[0], inst.rhs[0]} == {m1, m2}:
+                    break
+            else:
+                raise TermError(f"no declared relation closes {format_word((m1, m2))}")
     sides = {inst.lhs[0]: inst.lhs[1:], inst.rhs[0]: inst.rhs[1:]}
     return sides[m1], sides[m2], inst.family
 
@@ -489,46 +498,46 @@ def check_coherence(n: int, max_nodes: int = 4):
     reachable from the term closes and the term's positive paths end at its
     left comb with one diagram.  By induction on rank that holds when the
     term's forks close and its successors pass.  A regroup step keeps the
-    leaf word and the node count and lowers the rank, so the terms with k
-    nodes are decided once each in ascending rank, after their successors,
-    and `paths=` sums the successors' counts.  A successor that is not
-    decided yet fails the term, and so does one outside the enumeration (a
-    step that changes the leaf word).  The lines come in enumeration order.
+    leaf word and the node count and leads to a later term of
+    `enumerate_terms`, so the terms with k nodes are decided once each in
+    reverse enumeration order, after their successors, and `paths=` sums
+    the successors' counts.  A successor that is not decided yet fails the
+    term, and so does one outside the enumeration (a step that changes the
+    leaf word).  The lines come in enumeration order.
     """
     _check_size(n, max_nodes, "max_nodes")
     lines = []
     all_ok = True
-    theory = catalan_theory(n)
+    theory = theory_for("c", n)
     for k in range(max_nodes + 1):
-        terms = enumerate_terms(n, k)
         decided = {}  # term -> (ok, paths); every key has the same leaf word
-        report = {}
-        for t in sorted(terms, key=rank):
-            letters = applicable_positive(t, n)
-            ok, paths = (True, 0) if letters else (t == lmb(underlying_list(t), n), 1)
-            for m1, m2 in itertools.combinations(letters, 2):
-                w1, w2, family = fill_square(t, n, m1, m2)
-                end = apply_word_to_term(t, (m1,) + w1, theory)
+        report = []
+        for t in reversed(enumerate_terms(n, k)):
+            steps = positive_steps(t, theory)
+            ok, paths = (True, 0) if steps else (t == lmb(underlying_list(t), n), 1)
+            for m1, m2 in itertools.combinations(steps, 2):
+                w1, w2, family = fill_square(t, theory, m1, m2)
+                end = apply_word_to_term(steps[m1], w1, theory)
                 ok = (
                     ok
                     and family in ("functoriality", "naturality") + CATALAN_FAMILIES
                     and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
                     and end is not None
-                    and end == apply_word_to_term(t, (m2,) + w2, theory)
+                    and end == apply_word_to_term(steps[m2], w2, theory)
                     and words_equal((m1,) + w1, (m2,) + w2, n, "c")
                 )
-            for g in letters:  # an undecided successor (or None) fails t
-                passed, count = decided.get(apply_generator(t, g, theory), (False, 0))
+            for u in steps.values():  # an undecided successor fails t
+                passed, count = decided.get(u, (False, 0))
                 ok = ok and passed
                 paths += count
             decided[t] = ok, paths
             all_ok = all_ok and ok
-            report[t] = (
+            report.append(
                 f"coherence n={n} term={format_term(t, theory.signature)} "
-                f"pairs={math.comb(len(letters), 2)} "
+                f"pairs={math.comb(len(steps), 2)} "
                 f"paths={paths} {'PASS' if ok else 'FAIL'}"
             )
-        lines.extend(report[t] for t in terms)
+        lines.extend(reversed(report))
     return all_ok, lines
 
 

@@ -308,22 +308,6 @@ def rank(t: Term) -> int:
     )
 
 
-def assoc_redexes(t: Term) -> list:
-    """All (rule index, address) pairs where a forward regrouping applies.
-
-    The rule with index i moves an application node from child position i+1
-    into child position i; every such step strictly decreases rank.  The
-    pairs come in (address, index) order.
-    """
-    return [
-        (i, a)
-        for a, u in subterms(t)
-        if isinstance(u, App)
-        for i in range(1, len(u.children))
-        if isinstance(u.children[i], App)
-    ]
-
-
 def apply_assoc(t: Term, i: int, address: Address) -> Term:
     """Apply the forward regrouping rule with index i at `address`."""
     node = subterm(t, address)
@@ -427,7 +411,11 @@ def _label_shape(shape, labels) -> Term:
 def enumerate_terms(n: int, k: int, labels=None) -> list:
     """All terms over the n-ary tuple symbol with k internal nodes.
 
-    Leaves are labelled left to right, with x1, x2, ... by default.
+    Leaves are labelled left to right, with x1, x2, ... by default.  Shapes
+    come in lexicographic order of their child sizes, then of the children's
+    shapes, so every forward regrouping leads to a later term of the list:
+    it keeps the size of every subtree above its node, and at its node it
+    raises the size of the first child it changes.
     """
     if n < 2:
         raise TermError("tuple symbol arity must be at least 2")

@@ -11,7 +11,6 @@ import time
 
 from treegroups.terms import (
     apply_assoc,
-    assoc_redexes,
     enumerate_terms,
     format_term,
     generalized_catalan,
@@ -39,7 +38,6 @@ from treegroups.diagrams import (
     to_diagram,
 )
 from treegroups.coherence import (
-    applicable_positive,
     apply_word_to_term,
     check_axioms,
     check_coherence,
@@ -51,12 +49,14 @@ from treegroups.coherence import (
     parse_word,
     pentagon,
     positive_paths,
+    positive_steps,
     words_equal,
 )
 
 from collapse_reference import all_reduction_endpoints
 from diagram_reference import expand, leaf_count, random_reduced_diagram
 from seed_reference import seed_reduce
+from square_reference import assoc_redexes
 
 
 def report(name: str, ok: bool, elapsed: float, detail: str = "") -> None:
@@ -305,10 +305,10 @@ def test_coherence_desk_scale():
         expected = []
         for k in range(5):
             for t in enumerate_terms(n, k):
-                letters_here = applicable_positive(t, n)
+                letters_here = positive_steps(t, theory)
                 pairs = 0
                 for m1, m2 in itertools.combinations(letters_here, 2):
-                    w1, w2, family = fill_square(t, n, m1, m2)
+                    w1, w2, family = fill_square(t, theory, m1, m2)
                     squares += 1
                     pairs += 1
                     ok = ok and family in (

@@ -301,8 +301,8 @@ def test_check_coherence_reports_a_fork_that_does_not_close(monkeypatch, capsys)
     elsewhere = parse_term("(x1 (x2 (x3 x4)))", sig)
     real_fill_square = coherence.fill_square
 
-    def wrong_pentagon(t, n, m1, m2):
-        w1, w2, family = real_fill_square(t, n, m1, m2)
+    def wrong_pentagon(t, theory, m1, m2):
+        w1, w2, family = real_fill_square(t, theory, m1, m2)
         if t == forked and family == "pentagon":
             # drop the last letter of the longer closing word
             w1, w2 = (w1[:-1], w2) if len(w1) > len(w2) else (w1, w2[:-1])

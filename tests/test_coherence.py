@@ -4,7 +4,17 @@ import random
 
 import pytest
 
-from treegroups.terms import TermError, ParseError, Var, cat, enumerate_terms, lmb
+from treegroups import coherence
+from treegroups.terms import (
+    TermError,
+    ParseError,
+    Var,
+    cat,
+    catalan_signature,
+    enumerate_terms,
+    lmb,
+    parse_term,
+)
 from treegroups.operators import catalan_theory, symmetric_catalan_theory
 from treegroups.diagrams import (
     identity_diagram,
@@ -18,7 +28,6 @@ from treegroups.coherence import (
     S,
     Generator,
     adjacent_assoc,
-    applicable_positive,
     apply_word_to_term,
     check_axioms,
     check_coherence,
@@ -39,6 +48,7 @@ from treegroups.coherence import (
     parse_word,
     pentagon,
     positive_paths,
+    positive_steps,
     relation_instances,
     substitute_once,
     theory_for,
@@ -48,6 +58,8 @@ from treegroups.coherence import (
     words_equal,
 )
 from treegroups.unify import mgu
+
+import square_reference
 
 
 def v(name):
@@ -287,18 +299,18 @@ def test_positive_paths():
 
 def test_fill_square_examples():
     t = cat(cat(v("a"), cat(v("b"), v("c"))), cat(v("d"), cat(v("e"), v("f"))))
-    w1, w2, family = fill_square(t, 2, A(1, (1,)), A(1, (2,)))
+    w1, w2, family = fill_square(t, catalan_theory(2), A(1, (1,)), A(1, (2,)))
     assert family == "functoriality"
     assert w1 == (A(1, (2,)),) and w2 == (A(1, (1,)),)
 
     comb4 = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
-    w1, w2, family = fill_square(comb4, 2, A(1), A(1, (2,)))
+    w1, w2, family = fill_square(comb4, catalan_theory(2), A(1), A(1, (2,)))
     assert family == "pentagon"
     assert (A(1),) + w1 == pentagon(2, 1).rhs
     assert (A(1, (2,)),) + w2 == pentagon(2, 1).lhs
 
     t3 = cat(v("x"), cat(v("y1"), v("y2"), v("y3")), cat(v("z1"), v("z2"), v("z3")))
-    w1, w2, family = fill_square(t3, 3, A(1), A(2))
+    w1, w2, family = fill_square(t3, catalan_theory(3), A(1), A(2))
     assert family == "adjacent-assoc"
     theory = catalan_theory(3)
     end1 = apply_word_to_term(t3, (A(1),) + w1, theory)
@@ -313,7 +325,7 @@ def test_fill_square_distant_indices_same_address():
     z = [v(f"z{k}") for k in range(1, 5)]
     t = cat(v("x1"), cat(*y), v("x3"), cat(*z))
     m1, m2 = A(1), A(3)
-    w1, w2, family = fill_square(t, 4, m1, m2)
+    w1, w2, family = fill_square(t, catalan_theory(4), m1, m2)
     assert family == "naturality"
     theory = catalan_theory(4)
     end1 = apply_word_to_term(t, (m1,) + w1, theory)
@@ -325,9 +337,9 @@ def test_fill_square_distant_indices_same_address():
 def test_fill_square_errors():
     t = cat(v("a"), cat(v("b"), v("c")))
     with pytest.raises(TermError):
-        fill_square(t, 2, A(1), A(1))
+        fill_square(t, catalan_theory(2), A(1), A(1))
     with pytest.raises(TermError):
-        fill_square(t, 2, A(1), A(1, (1,)))  # a1[1] does not apply here
+        fill_square(t, catalan_theory(2), A(1), A(1, (1,)))  # a1[1] does not apply here
 
 
 def test_fill_square_closes_every_pair():
@@ -344,9 +356,9 @@ def test_fill_square_closes_every_pair():
         seen = set()
         for k in range(max_nodes + 1):
             for t in enumerate_terms(n, k):
-                letters = applicable_positive(t, n)
+                letters = positive_steps(t, theory)
                 for m1, m2 in itertools.combinations(letters, 2):
-                    w1, w2, family = fill_square(t, n, m1, m2)
+                    w1, w2, family = fill_square(t, theory, m1, m2)
                     assert family in (
                         "functoriality",
                         "naturality",
@@ -374,6 +386,90 @@ def test_fill_square_closes_every_pair():
                     seen.add(family)
         assert seen >= {"pentagon", "naturality in a variable"}
         assert ("adjacent-assoc" in seen) == (n > 2)
+
+
+# Sizes at which the closer and the steps are compared with the reference:
+# 1 408 forks and 1 708 positive steps in all.
+REFERENCE_SIZES = ((2, 6), (3, 5), (4, 4), (5, 3))
+
+
+def test_fill_square_matches_the_reference_on_every_fork():
+    # the closer reads the theory's rules and declared families; the
+    # reference hand-codes the regroup cases, and both must close each fork,
+    # in either letter order, with the same words and family
+    forks = 0
+    for n, max_nodes in REFERENCE_SIZES:
+        theory = catalan_theory(n)
+        for k in range(max_nodes + 1):
+            for t in enumerate_terms(n, k):
+                steps = positive_steps(t, theory)
+                expected = [A(i, a) for i, a in square_reference.assoc_redexes(t)]
+                assert list(steps) == expected
+                for m1, m2 in itertools.combinations(steps, 2):
+                    forks += 1
+                    for g, h in ((m1, m2), (m2, m1)):
+                        got = fill_square(t, theory, g, h)
+                        assert got == square_reference.fill_square(t, n, g, h)
+    assert forks == 1408
+
+
+def test_positive_steps_land_later_in_the_enumeration():
+    # the order `check_coherence` relies on when it decides each size's
+    # terms in reverse enumeration order
+    count = 0
+    for n, max_nodes in REFERENCE_SIZES:
+        theory = catalan_theory(n)
+        for k in range(max_nodes + 1):
+            terms = enumerate_terms(n, k)
+            position = {t: j for j, t in enumerate(terms)}
+            for j, t in enumerate(terms):
+                for g, u in positive_steps(t, theory).items():
+                    assert u == apply_word_to_term(t, (g,), theory)
+                    assert position[u] > j
+                    count += 1
+    assert count == 1708
+
+
+def test_check_coherence_fails_when_successors_come_first(monkeypatch):
+    # decided in the wrong order, every step meets an undecided successor
+    real = coherence.enumerate_terms
+    monkeypatch.setattr(coherence, "enumerate_terms", lambda n, k: real(n, k)[::-1])
+    ok, lines = coherence.check_coherence(2, 4)
+    assert not ok
+    sig, theory = catalan_signature(2), catalan_theory(2)
+    for line in lines:
+        t = parse_term(line.split(" term=")[1].split(" pairs=")[0], sig)
+        assert line.endswith(" FAIL") == bool(positive_steps(t, theory))
+
+
+def test_fill_square_refuses_what_is_not_a_forward_step():
+    # with `test_fill_square_errors`, which refuses a1[1] on (a (b c))
+    c2 = catalan_theory(2)
+    t = cat(v("a"), cat(v("b"), v("c")))
+    with pytest.raises(TermError):
+        fill_square(t, c2, A(1), S(1))  # no twists in the regrouping theory
+    nested = cat(v("a"), cat(cat(v("b"), v("c")), v("d")))
+    assert apply_word_to_term(nested, (A(1, (2,), -1),), c2) is not None
+    with pytest.raises(TermError):
+        fill_square(nested, c2, A(1), A(1, (2,), -1))  # an inverse letter
+
+
+def test_fill_square_closes_symmetric_forks_from_the_declared_families():
+    sc3 = symmetric_catalan_theory(3)
+    sig = sc3.signature
+    # two twists at one node: the instance whose sides start with them is
+    # the three-cycle; involution, with an empty side, is skipped
+    t = parse_term("(x y z)", sig)
+    w1, w2, family = fill_square(t, sc3, S(1), S(2))
+    assert family == "three-cycle"
+    end1 = apply_word_to_term(t, (S(1),) + w1, sc3)
+    end2 = apply_word_to_term(t, (S(2),) + w2, sc3)
+    assert end1 == end2 is not None
+    assert words_equal((S(1),) + w1, (S(2),) + w2, 3, "sc")
+    # no declared family starts with a regrouping and a twist of the nest
+    t = parse_term("(x1 (x2 x3 x4) x5)", sig)
+    with pytest.raises(TermError):
+        fill_square(t, sc3, A(1), S(2))
 
 
 def test_relation_instances_sweep():

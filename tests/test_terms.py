@@ -11,7 +11,6 @@ from treegroups.terms import (
     Var,
     apply_assoc,
     apply_subst,
-    assoc_redexes,
     cat,
     catalan_signature,
     enumerate_terms,
@@ -38,6 +37,7 @@ from treegroups.terms import (
     variables_in_order,
 )
 
+from square_reference import assoc_redexes
 from subst_reference import compose_subst
 
 
