@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -103,19 +104,21 @@ def format_word(word) -> str:
     return " ".join(format_generator(g) for g in word)
 
 
+#: A letter's head and ASCII index digits, as in the rule names `a1`, `s2`.
+_HEAD_INDEX = r"([{heads}])([0-9]+)"
+#: A word's letter: an upper-case head for the inverse, then the address.
+_LETTER = re.compile(_HEAD_INDEX.format(heads="aAsS") + r"\[(.*)\]")
+_RULE_LETTER = re.compile(_HEAD_INDEX.format(heads="as"))
+
+
 def parse_word(text: str) -> GeneratorWord:
     out = []
     for token in text.split():
-        head = token[0]
-        if head not in "aAsS":
+        m = _LETTER.fullmatch(token)
+        if m is None:
             raise ParseError(f"bad generator token {token!r}")
-        open_bracket = token.find("[")
-        digits = token[1:open_bracket]
-        if open_bracket < 0 or not token.endswith("]") or not (
-            digits.isascii() and digits.isdigit()
-        ):
-            raise ParseError(f"bad generator token {token!r}")
-        address = parse_address(token[open_bracket + 1 : -1])
+        head, digits, address = m.groups()
+        address = parse_address(address)  # before the index: its error comes first
         out.append(
             Generator(
                 head.lower(),
@@ -171,7 +174,7 @@ def _act_word(pair: TreePair, word, theory: Theory, sign: int = 1) -> None:
             pair.regroup(g.address, g.index, sign * g.sign)
 
 
-def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
+def eval_diagram(word, n: int, theory_name: str) -> TreeDiagram:
     """Evaluate a word to its reduced tree diagram by local action.
 
     Each letter acts on a `TreePair` that starts as the identity, rewriting
@@ -184,7 +187,7 @@ def eval_diagram(word, n: int, theory_name: str = "sc") -> TreeDiagram:
     return pair.freeze()
 
 
-def words_equal(w1, w2, n: int, theory_name: str = "sc") -> bool:
+def words_equal(w1, w2, n: int, theory_name: str) -> bool:
     """Whether w1 = w2 in the group: w1 and then w2's inverse act on one
     identity pair.  A pair is the identity exactly when it expands (leaf,
     leaf, id), and every such expansion is (T, T, id), so no reduction is
@@ -398,13 +401,19 @@ def check_axioms(n: int, theory_name: str, max_addr: int = 2):
 def positive_steps(t: Term, theory: Theory) -> dict:
     """Each forward letter whose rule source matches at a node of t, mapped
     to the term that letter rewrites t to; in (address, rule) order, with
-    addresses in pre-order and the theory's rules in their declared order."""
+    addresses in pre-order and the theory's rules in their declared order.
+    A rule whose name is not a letter's head and index raises TermError."""
+    letters = []
+    for rule in theory.rules:
+        if (m := _RULE_LETTER.fullmatch(rule.name)) is None:
+            raise TermError(f"rule {rule.name!r} is not named as a letter")
+        letters.append((rule, m[1], parse_digits(m[2], "rule index")))
     steps = {}
     for address, node in subterms(t):
         if isinstance(node, App):
-            for rule in theory.rules:
+            for rule, kind, index in letters:
                 if (u := rewrite_at(t, rule, address)) is not None:
-                    steps[Generator(rule.name[0], int(rule.name[1:]), 1, address)] = u
+                    steps[Generator(kind, index, 1, address)] = u
     return steps
 
 

@@ -74,7 +74,11 @@ Address = tuple
 #: Symbol name used for the single n-ary tuple symbol.
 CAT = "*"
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+#: An identifier: a variable, or a symbol of a multi-symbol signature.
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+#: One term token, an identifier or `(`, `)`, `,`, in group 1; any other
+#: character that is not white space in group 2.
+_TOKEN = re.compile(rf"([(),]|{_IDENT.pattern})|(\S)")
 
 
 class Signature:
@@ -83,7 +87,7 @@ class Signature:
     def __init__(self, symbols):
         arities: dict[str, int] = {}
         for name, arity in symbols:
-            if not _IDENT.match(name) and name != CAT:
+            if not _IDENT.fullmatch(name) and name != CAT:
                 raise TermError(f"bad symbol name: {name!r}")
             if name in arities:
                 raise TermError(f"duplicate symbol: {name!r}")
@@ -448,22 +452,12 @@ def format_term(t: Term, signature: Signature) -> str:
 
 
 def _tokenize(text: str) -> list:
+    """The tokens of a term text, read in one scan of `_TOKEN`."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            tokens.append(ch)
-            i += 1
-            continue
-        m = re.match(r"[A-Za-z][A-Za-z0-9_]*", text[i:])
-        if not m:
-            raise ParseError(f"bad character {ch!r} in term text")
-        tokens.append(m.group())
-        i += len(m.group())
+    for token, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError(f"bad character {bad!r} in term text")
+        tokens.append(token)
     return tokens
 
 

@@ -11,7 +11,7 @@ eliminate with occurs check) on a worklist, kept in triangular solved form
 (Martelli and Montanari, *An efficient unification algorithm*, TOPLAS 1982):
 a binding points at an unsubstituted subterm of an input, a term is walked
 through the bindings only when its pair is popped, and the result terms are
-built once, at the end.  `mgu` and `unify_shared` share this solver.
+built once, at the end.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ def match(pattern: Term, subject: Term, bindings: dict | None = None) -> dict | 
 
 # A variable of the solver is a key (side, name): mgu puts t1 on side 0 and
 # s2 on side 1, so equal spellings on the two sides stay distinct without
-# renaming, and unify_shared puts both terms on side 0.  A binding maps a key
-# to (side, subterm), where the subterm is a piece of an input term, never a
-# substituted copy; the solved form is triangular and is resolved once at
-# the end.
+# renaming.  A binding maps a key to (side, subterm), where the subterm is a
+# piece of an input term, never a substituted copy; the solved form is
+# triangular and is resolved once at the end.
 
 
 def _walk(side: int, t: Term, bindings: dict) -> tuple:
@@ -145,19 +144,6 @@ def _resolve(side: int, t: Term, bindings: dict, memo: dict) -> Term:
     for key in chain:
         memo[key] = out
     return out
-
-
-def unify_shared(t1: Term, t2: Term) -> dict | None:
-    """Unify two terms over a shared variable namespace.
-
-    Returns an idempotent most general unifier, or None.  Includes the
-    occurs check, so e.g. x does not unify with a term properly containing x.
-    """
-    bindings = _solve(0, t1, 0, t2)
-    if bindings is None:
-        return None
-    memo = {key: Var(key[1]) for key in _unbound(0, t1, bindings)}
-    return {name: _resolve(0, Var(name), bindings, memo) for _, name in bindings}
 
 
 def mgu(t1: Term, s2: Term) -> UnifierPair | None:

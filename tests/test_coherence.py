@@ -6,6 +6,8 @@ import pytest
 
 from treegroups import coherence
 from treegroups.terms import (
+    App,
+    Signature,
     TermError,
     ParseError,
     Var,
@@ -15,7 +17,7 @@ from treegroups.terms import (
     lmb,
     parse_term,
 )
-from treegroups.operators import catalan_theory, symmetric_catalan_theory
+from treegroups.operators import Rule, catalan_theory, generic_theory, symmetric_catalan_theory
 from treegroups.diagrams import (
     identity_diagram,
     invert_diagram,
@@ -91,6 +93,13 @@ def test_generator_validation():
         generator_rule(A(1, (3,)), c2)
     sc3 = symmetric_catalan_theory(3)
     assert generator_rule(S(2, (1, 3)), sc3).rule.name == "s2"
+    for args, message in (
+        (("b", 1), "unknown generator kind 'b'"),
+        (("a", 1, 0), "generator sign must be +1 or -1"),
+    ):
+        with pytest.raises(TermError) as raised:
+            Generator(*args)
+        assert str(raised.value) == message
 
 
 def test_pentagon_is_mac_lane_for_n2():
@@ -428,6 +437,14 @@ def test_positive_steps_land_later_in_the_enumeration():
                     assert position[u] > j
                     count += 1
     assert count == 1708
+
+
+def test_positive_steps_refuse_a_rule_not_named_as_a_letter():
+    x, y, z = v("x"), v("y"), v("z")
+    rule = Rule("assoc", App("F", (x, App("F", (y, z)))), App("F", (App("F", (x, y)), z)))
+    theory = generic_theory("assoc", Signature([("F", 2)]), [rule])
+    with pytest.raises(TermError, match="rule 'assoc' is not named as a letter"):
+        positive_steps(rule.source, theory)
 
 
 def test_check_coherence_fails_when_successors_come_first(monkeypatch):

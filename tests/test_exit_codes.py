@@ -1,0 +1,101 @@
+"""The CLI's exit-code contract on seeded random argument lists.
+
+`cli.run` must return 0, 1 or 2 for any argv, write no traceback, and on
+exit 2 write at most one line that starts with `error:`.  The argument
+lists are short and drawn from the CLI's own vocabulary: its commands and
+flags, small and malformed numbers, both theories, generator letters, term
+text, the readers' edge tokens, empty words and `--`, mostly well formed
+so that every exit code occurs.  Sizes stay small:
+`--n` from -1 to 4 (6 for `check moore`), `--max-addr` and `--max-nodes`
+at most 2, always given, and `trees count --k` at most 3.  The examples are
+derandomized, so every run checks the same lists.  The module skips when
+`hypothesis` is not installed.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st
+
+from treegroups.cli import run
+
+# Each value comes mostly from its good list, and in about one draw of four
+# from its edge list.  int() reads each edge number as one from -1 to 4, or
+# refuses it.
+N = (["2", "3", "4"], ["-1", "0", "1", "", "x", "2.0", "-0", "+2", "٣", "1e1"])
+SMALL = (["0", "1", "2"], ["-1", "", "x", "+2", "١"])
+THEORIES = (["c", "sc"], ["C", "", "s", "c sc"])
+TERMS = (
+    ["x", "(x y)", "(x (y z))", "(x y z)", "(x1 x2 (x3 x4 x5))"],
+    ["(a b) c", "(x é)", "(x,y)", "F(x,y)", "x1_", "(", ")", ",", "_x", "1x", "(x\ty)", "é", "٣"],
+)
+LETTERS = (
+    ["a1[-]", "A1[2]", "s1[-]", "S2[1.2]", "a2[-]", "a1[1.1]", "a1[-] A1[-]", "a1[2] s1[-]"],
+    ["a1[0]", "a1[]", "a1[-]]", "a1[[-]", "a[-]", "b1[-]", "a1", "a١[-]", "a1[1.é]",
+     "a1[-.1]", "a1[1..2]", "a01[01]", "(x y)"],
+)
+# tokens any command may meet: empty words, separators and stray flags
+STRAY = ["", " ", "--", "-", "--n", "--help", "--theory"]
+
+# every command with its flags and the tokens it reads, if any; a flag in
+# SIZED is always given
+COMMANDS = {
+    ("term", "normalize"): ({"--n": N}, TERMS),
+    ("term", "rank"): ({"--n": N}, TERMS),
+    ("trees", "count"): ({"--n": N, "--k": (["0", "1", "2", "3"], N[1])}, None),
+    ("op", "compose"): ({"--n": N, "--theory": THEORIES}, LETTERS),
+    ("word", "eval"): ({"--n": N, "--theory": THEORIES}, LETTERS),
+    ("word", "eq"): ({"--n": N, "--theory": THEORIES}, LETTERS),
+    ("check", "axioms"): ({"--n": N, "--theory": THEORIES, "--max-addr": SMALL}, None),
+    ("check", "coherence"): ({"--n": N, "--max-nodes": SMALL}, None),
+    ("check", "moore"): ({"--n": (N[0] + ["5", "6"], N[1])}, None),
+    ("export", "dot"): ({"--n": N, "--theory": THEORIES}, LETTERS),
+}
+SIZED = {"--max-addr", "--max-nodes"}
+# command words out of place, for a prefix that names no command
+COMMAND_WORDS = ["term", "trees", "word", "eq", "check", "moore", "export", "nonsense", ""]
+
+
+@st.composite
+def mostly(draw, choices):
+    good, edge = choices
+    return draw(st.sampled_from(good if draw(st.integers(0, 3)) else edge))
+
+
+@st.composite
+def argv_lists(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.lists(st.sampled_from(COMMAND_WORDS + STRAY), max_size=3))
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags, tokens = COMMANDS[command]
+    units = [
+        [flag, draw(mostly(values))]
+        for flag, values in flags.items()
+        if flag in SIZED or draw(st.integers(0, 9)) < 9
+    ]
+    argv = list(command) + [arg for unit in draw(st.permutations(units)) for arg in unit]
+    if tokens:
+        words = [draw(mostly(tokens)) for _ in range(draw(st.integers(1, 4)))]
+        if command == ("word", "eq") and draw(st.integers(0, 3)) < 3:
+            words.insert(draw(st.integers(0, len(words))), "--")
+        argv += words
+    if draw(st.integers(0, 4)) == 4:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(STRAY)))
+    return argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(argv_lists())
+def test_exit_codes_hold_for_any_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) <= 1, argv

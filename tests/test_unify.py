@@ -10,7 +10,7 @@ from treegroups.terms import (
     support,
     underlying_list,
 )
-from treegroups.unify import is_composable, match, mgu, unify_shared
+from treegroups.unify import is_composable, match, mgu
 from treegroups.operators import catalan_theory, symmetric_catalan_theory
 
 from subst_reference import match_many
@@ -78,8 +78,8 @@ def relabel(shape, rng, pool):
 
 
 def test_occurs_check():
-    # same namespace: x against a term properly containing x fails
-    assert unify_shared(v("x"), cat(v("x"), v("y"))) is None
+    # within one side: x meets y, so y meets a term properly containing y
+    assert mgu(cat(v("x"), v("x")), cat(v("y"), cat(v("y"), v("z")))) is None
     # renamed apart, the same spelling on the two sides is unrelated
     assert mgu(v("x"), cat(v("x"), v("y"))) is not None
 
