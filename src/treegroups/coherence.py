@@ -111,22 +111,35 @@ _LETTER = re.compile(_HEAD_INDEX.format(heads="aAsS") + r"\[(.*)\]")
 _RULE_LETTER = re.compile(_HEAD_INDEX.format(heads="as"))
 
 
+def _letter(kind: str, index: int, sign: int, address: tuple) -> Generator:
+    """A letter from parts `parse_word` read itself, without the checks of
+    `__post_init__`: `_LETTER` admits only the kinds a/s and signs ±1.  The
+    public constructor keeps them for every other caller."""
+    g = object.__new__(Generator)
+    vars(g).update(kind=kind, index=index, sign=sign, address=address)
+    return g
+
+
 def parse_word(text: str) -> GeneratorWord:
-    out = []
+    """The letters of a word.  Each distinct token is read once: a token
+    seen before in the same text reuses its letter, and only tokens that
+    parsed enter the table, so a bad token raises where it first occurs."""
+    out, letters = [], {}
     for token in text.split():
-        m = _LETTER.fullmatch(token)
-        if m is None:
-            raise ParseError(f"bad generator token {token!r}")
-        head, digits, address = m.groups()
-        address = parse_address(address)  # before the index: its error comes first
-        out.append(
-            Generator(
+        g = letters.get(token)
+        if g is None:
+            m = _LETTER.fullmatch(token)
+            if m is None:
+                raise ParseError(f"bad generator token {token!r}")
+            head, digits, address = m.groups()
+            address = parse_address(address)  # before the index: its error comes first
+            g = letters[token] = _letter(
                 head.lower(),
                 parse_digits(digits, "generator index"),
                 1 if head.islower() else -1,
                 address,
             )
-        )
+        out.append(g)
     return tuple(out)
 
 

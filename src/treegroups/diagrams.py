@@ -81,7 +81,10 @@ def _trusted(n: int, domain, range_, perm) -> TreeDiagram:
 
 
 def identity_diagram(n: int) -> TreeDiagram:
-    return TreeDiagram(n, LEAF, LEAF, (1,))
+    """(leaf, leaf, id); a bad `n` is refused by the public constructor."""
+    if type(n) is not int or n < 2:
+        return TreeDiagram(n, LEAF, LEAF, (1,))
+    return _trusted(n, LEAF, LEAF, (1,))
 
 
 def _inverse(perm) -> tuple:
@@ -193,10 +196,16 @@ class TreePair:
         return node
 
     def _node(self, address) -> list:
+        """The range node at `address`; a leaf on the way there, or at it,
+        is careted first."""
         parent, k = self.range, 0
         for step in address:
-            parent, k = self._internal(parent, k), step - 1
-        return self._internal(parent, k)
+            node = parent[k]
+            if type(node) is not list:
+                node = self._internal(parent, k)
+            parent, k = node, step - 1
+        node = parent[k]
+        return node if type(node) is list else self._internal(parent, k)
 
     def regroup(self, address, i: int, sign: int) -> None:
         """`a<i>` at `address` moves the nest at child i+1 one position

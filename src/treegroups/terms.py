@@ -533,15 +533,18 @@ def format_address(address: Address) -> str:
     return ".".join(str(i) for i in indices)
 
 
+#: An address other than the root "-": dot-separated ASCII digit steps.
+_ADDRESS = re.compile(r"[0-9]+(?:\.[0-9]+)*")
+
+
 def parse_address(text: str) -> tuple:
     text = text.strip()
     if text == "-":
         return ()
-    parts = text.split(".")
-    if not all(p.isascii() and p.isdigit() for p in parts):
+    if _ADDRESS.fullmatch(text) is None:
         raise ParseError(f"bad address text {text!r}")
-    indices = tuple([parse_digits(p, "address step") for p in parts])
-    if any(i < 1 for i in indices):
+    indices = tuple([parse_digits(p, "address step") for p in text.split(".")])
+    if 0 in indices:
         raise ParseError(f"address indices must be positive: {text!r}")
     return indices
 

@@ -1,17 +1,19 @@
-"""The term and word readers as they were before each syntax became one
-compiled pattern, for the tests.
+"""The term, word and address readers as they were before each syntax
+became one compiled pattern, for the tests.
 
 `_tokenize` walks the term text one character at a time and matches an
-identifier against the rest of the text, and `parse_word` checks a
-letter's head, index digits and brackets by hand.  The library's
-`terms._tokenize` and `coherence.parse_word` must give the same tokens and
-words, or raise the same exception with the same message.
+identifier against the rest of the text, `parse_word` checks a letter's
+head, index digits and brackets by hand and reads every token afresh, and
+`parse_address` checks each step with `str.isdigit`.  The library's
+`terms._tokenize`, `coherence.parse_word` and `terms.parse_address` must
+give the same tokens, words and addresses, or raise the same exception
+with the same message.
 """
 
 import re
 
 from treegroups.coherence import Generator, GeneratorWord
-from treegroups.terms import ParseError, parse_address, parse_digits
+from treegroups.terms import ParseError, parse_digits
 
 
 def _tokenize(text: str) -> list:
@@ -56,3 +58,16 @@ def parse_word(text: str) -> GeneratorWord:
             )
         )
     return tuple(out)
+
+
+def parse_address(text: str) -> tuple:
+    text = text.strip()
+    if text == "-":
+        return ()
+    parts = text.split(".")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ParseError(f"bad address text {text!r}")
+    indices = tuple([parse_digits(p, "address step") for p in parts])
+    if any(i < 1 for i in indices):
+        raise ParseError(f"address indices must be positive: {text!r}")
+    return indices

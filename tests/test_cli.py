@@ -3,6 +3,8 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
 import treegroups
 from treegroups import cli, coherence
 from treegroups.cli import run
@@ -144,6 +146,32 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (("check", "moore", "--n", "٣"), "--n", "٣"),
+        (("check", "moore", "--n", "1_0"), "--n", "1_0"),
+        (("check", "moore", "--n", "+3"), "--n", "+3"),
+        (("check", "moore", "--n", " 3"), "--n", " 3"),
+        (("trees", "count", "--n", "2", "--k", "٢"), "--k", "٢"),
+    ],
+    ids=["arabic-indic", "underscore", "plus", "space", "arabic-indic-k"],
+)
+def test_integer_options_are_ascii_digits(capsys, argv, flag, text):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_integer_options_keep_leading_zeros_and_a_minus(capsys):
+    code, out, _ = invoke(capsys, "check", "moore", "--n", "0003")
+    assert (code, out.splitlines()[-1]) == (0, "all-pass")
+    code, out, err = invoke(capsys, "check", "moore", "--n", "-1")
+    assert (code, out, err) == (2, "", "error: n must be at least 2, got -1\n")
+    code, _, err = invoke(capsys, "check", "moore", "--n", "9" * 5000)
+    assert code == 2 and err.endswith(f"invalid int value: '{'9' * 5000}'\n")
 
 
 def test_parser_built_once_gives_the_same_output(capsys):

@@ -238,6 +238,16 @@ def test_trusted_results_equal_their_checked_twins():
                 assert d == twin and hash(d) == hash(twin)
 
 
+def test_identity_diagram_refuses_a_bad_arity_and_equals_its_checked_twin():
+    for n in (1, True, 2.0):
+        with pytest.raises(TermError) as info:
+            identity_diagram(n)
+        assert str(info.value) == f"diagram arity must be an integer >= 2, not {n!r}"
+    for n in (2, 3, 7):
+        one, twin = identity_diagram(n), TreeDiagram(n, (), (), (1,))
+        assert one == twin and hash(one) == hash(twin)
+
+
 def test_is_order_preserving():
     assert is_order_preserving(identity_diagram(2))
     assert not is_order_preserving(TreeDiagram(2, caret(2), caret(2), (2, 1)))

@@ -24,10 +24,10 @@ from hypothesis import given, settings, strategies as st
 from treegroups.cli import run
 
 # Each value comes mostly from its good list, and in about one draw of four
-# from its edge list.  int() reads each edge number as one from -1 to 4, or
+# from its edge list.  The CLI reads each edge number as one from -1 to 4, or
 # refuses it.
-N = (["2", "3", "4"], ["-1", "0", "1", "", "x", "2.0", "-0", "+2", "٣", "1e1"])
-SMALL = (["0", "1", "2"], ["-1", "", "x", "+2", "١"])
+N = (["2", "3", "4"], ["-1", "0", "1", "", "x", "2.0", "-0", "+2", "٣", "1e1", "1_0", "+3"])
+SMALL = (["0", "1", "2"], ["-1", "", "x", "+2", "١", "٣", "1_0", "+3"])
 THEORIES = (["c", "sc"], ["C", "", "s", "c sc"])
 TERMS = (
     ["x", "(x y)", "(x (y z))", "(x y z)", "(x1 x2 (x3 x4 x5))"],
