@@ -28,6 +28,7 @@ from .terms import (
 )
 from .operators import EMPTY
 from .coherence import (
+    THEORIES,
     check_axioms,
     check_coherence,
     check_moore,
@@ -54,63 +55,44 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+# Argument specs shared by several commands: a name and its argparse options.
+_N = "--n", {"type": _integer, "required": True}
+_THEORY = "--theory", {"choices": tuple(THEORIES), "required": True}
+_WORD = "word", {"nargs": "+"}
+_TERM = "term", {"nargs": "+"}
+
+#: Every command a user can type: per group its help text and its commands,
+#: and per command its arguments in usage order.
+_COMMANDS = {
+    "term": ("term normalization and rank", {"normalize": (_N, _TERM), "rank": (_N, _TERM)}),
+    "trees": ("shape counting", {"count": (_N, ("--k", {"type": _integer, "required": True}))}),
+    "op": ("operator composition", {"compose": (_N, _THEORY, _WORD)}),
+    "word": ("word evaluation and equality", {
+        "eval": (_N, _THEORY, _WORD),
+        "eq": (_N, _THEORY, (
+            "w1", {"nargs": "*", "help": "the first word; the second follows --"}
+        )),
+    }),
+    "check": ("axiom, coherence, and symmetric-group suites", {
+        "axioms": (_N, _THEORY, ("--max-addr", {"type": _integer, "default": 2})),
+        "coherence": (_N, ("--max-nodes", {"type": _integer, "default": 4})),
+        "moore": (_N,),
+    }),
+    "export": ("Graphviz export", {"dot": (_N, _THEORY, _WORD)}),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treegroups")
     top = parser.add_subparsers(dest="group", required=True)
-
-    term = top.add_parser("term", help="term normalization and rank")
-    term_sub = term.add_subparsers(dest="command", required=True)
-    p = term_sub.add_parser("normalize")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("term", nargs="+")
-    p = term_sub.add_parser("rank")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("term", nargs="+")
-
-    trees = top.add_parser("trees", help="shape counting")
-    trees_sub = trees.add_subparsers(dest="command", required=True)
-    p = trees_sub.add_parser("count")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-
-    op = top.add_parser("op", help="operator composition")
-    op_sub = op.add_subparsers(dest="command", required=True)
-    p = op_sub.add_parser("compose")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("word", nargs="+")
-
-    word = top.add_parser("word", help="word evaluation and equality")
-    word_sub = word.add_subparsers(dest="command", required=True)
-    p = word_sub.add_parser("eval")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("word", nargs="+")
-    p = word_sub.add_parser("eq")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("w1", nargs="*", help="the first word; the second follows --")
-
-    check = top.add_parser("check", help="axiom, coherence, and symmetric-group suites")
-    check_sub = check.add_subparsers(dest="command", required=True)
-    p = check_sub.add_parser("axioms")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("--max-addr", type=_integer, default=2)
-    p = check_sub.add_parser("coherence")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--max-nodes", type=_integer, default=4)
-    p = check_sub.add_parser("moore")
-    p.add_argument("--n", type=_integer, required=True)
-
-    export = top.add_parser("export", help="Graphviz export")
-    export_sub = export.add_subparsers(dest="command", required=True)
-    p = export_sub.add_parser("dot")
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--theory", choices=("c", "sc"), required=True)
-    p.add_argument("word", nargs="+")
-
+    for group, (help_text, commands) in _COMMANDS.items():
+        group_parser = top.add_parser(group, help=help_text)
+        sub = group_parser.add_subparsers(dest="command", required=True)
+        for command, arguments in commands.items():
+            p = sub.add_parser(command)
+            for name, options in arguments:
+                p.add_argument(name, **options)
     return parser
 
 
@@ -179,20 +161,6 @@ def _dispatch(args, second_word) -> int:
             )
         return 0
 
-    if args.group == "word":
-        if args.command == "eval":
-            diagram = eval_diagram(parse_word(" ".join(args.word)), args.n, args.theory)
-            print(to_json(diagram))
-            return 0
-        if second_word is None:
-            print("word eq needs two words separated by --", file=sys.stderr)
-            return 2
-        w1 = parse_word(" ".join(args.w1))
-        w2 = parse_word(second_word)
-        equal = words_equal(w1, w2, args.n, args.theory)
-        print("equal" if equal else "unequal")
-        return 0 if equal else 1
-
     if args.group == "check":
         if args.command == "axioms":
             ok, lines = check_axioms(args.n, args.theory, args.max_addr)
@@ -205,12 +173,23 @@ def _dispatch(args, second_word) -> int:
         print("all-pass" if ok else "some-fail")
         return 0 if ok else 1
 
-    if args.group == "export":
-        diagram = eval_diagram(parse_word(" ".join(args.word)), args.n, args.theory)
-        print(to_dot(diagram), end="")
-        return 0
+    if args.command == "eq":
+        if second_word is None:
+            print("word eq needs two words separated by --", file=sys.stderr)
+            return 2
+        w1 = parse_word(" ".join(args.w1))
+        w2 = parse_word(second_word)
+        equal = words_equal(w1, w2, args.n, args.theory)
+        print("equal" if equal else "unequal")
+        return 0 if equal else 1
 
-    raise AssertionError("unreachable")
+    # word eval and export dot: one evaluation, printed as JSON or as DOT
+    diagram = eval_diagram(parse_word(" ".join(args.word)), args.n, args.theory)
+    if args.command == "eval":
+        print(to_json(diagram))
+    else:
+        print(to_dot(diagram), end="")
+    return 0
 
 
 def main() -> None:

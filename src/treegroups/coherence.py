@@ -146,21 +146,21 @@ def parse_word(text: str) -> GeneratorWord:
 @lru_cache(maxsize=32)
 def theory_for(name: str, n: int) -> Theory:
     """The theory named `name` at arity n, built once per (name, n)."""
-    if name == "c":
-        return catalan_theory(n)
-    if name == "sc":
-        return symmetric_catalan_theory(n)
-    raise TermError(f"unknown theory {name!r} (expected 'c' or 'sc')")
+    return _theory_entry(name)[0](n)
 
 
 def check_letter(g: Generator, theory: Theory) -> None:
     """Raise TermError unless the letter acts in the theory: index in
-    1..n-1, every address step in 1..n, and twists only when symmetric."""
+    1..n-1, every address step in 1..n, and twists only when symmetric.
+    A generic theory has no arity, so no letter acts in it."""
     n = theory.n
+    if n is None:
+        raise TermError(f"theory {theory.name!r} has no arity for letters to act at")
     if not 1 <= g.index <= n - 1:
         raise TermError(f"generator index {g.index} out of range for n={n}")
-    if any(not 1 <= step <= n for step in g.address):
-        raise TermError(f"generator address {g.address} out of range for n={n}")
+    for step in g.address:
+        if not 1 <= step <= n:
+            raise TermError(f"generator address {g.address} out of range for n={n}")
     if g.kind == "s" and theory.name != "sc":
         raise TermError("twist generators need the symmetric theory")
 
@@ -364,8 +364,20 @@ _FAMILY_BUILDERS = {
     "dual-hexagon": lambda n, base: [dual_hexagon(n, i, base) for i in range(1, n)],
 }
 
-CATALAN_FAMILIES = ("pentagon", "adjacent-assoc")
-SYMMETRIC_FAMILIES = tuple(_FAMILY_BUILDERS)
+#: Each theory a user can name: how to build it at arity n, and the
+#: relation families it declares, in sweep order.
+THEORIES = {
+    "c": (catalan_theory, ("pentagon", "adjacent-assoc")),
+    "sc": (symmetric_catalan_theory, tuple(_FAMILY_BUILDERS)),
+}
+
+
+def _theory_entry(name: str) -> tuple:
+    """`THEORIES[name]`, or TermError for a name it does not hold."""
+    if name not in THEORIES:
+        expected = " or ".join(map(repr, THEORIES))
+        raise TermError(f"unknown theory {name!r} (expected {expected})")
+    return THEORIES[name]
 
 
 def base_addresses(n: int, max_len: int):
@@ -375,8 +387,7 @@ def base_addresses(n: int, max_len: int):
 
 def relation_instances(n: int, theory_name: str, max_addr: int = 2):
     """All instances of the theory's families at base addresses up to max_addr."""
-    families = CATALAN_FAMILIES if theory_name == "c" else SYMMETRIC_FAMILIES
-    for family in families:
+    for family in _theory_entry(theory_name)[1]:
         build = _FAMILY_BUILDERS[family]
         for base in base_addresses(n, max_addr):
             yield from build(n, base)
@@ -502,9 +513,9 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
             indices = (outer.index, deep.index)
             inst = RelationInstance("naturality", theory.n, indices, base, lhs, rhs)
         else:
-            families = CATALAN_FAMILIES if theory.name == "c" else SYMMETRIC_FAMILIES
             for inst in itertools.chain.from_iterable(
-                _FAMILY_BUILDERS[family](theory.n, base) for family in families
+                _FAMILY_BUILDERS[family](theory.n, base)
+                for family in _theory_entry(theory.name)[1]
             ):
                 if inst.lhs and inst.rhs and {inst.lhs[0], inst.rhs[0]} == {m1, m2}:
                     break
@@ -542,7 +553,7 @@ def check_coherence(n: int, max_nodes: int = 4):
                 end = apply_word_to_term(steps[m1], w1, theory)
                 ok = (
                     ok
-                    and family in ("functoriality", "naturality") + CATALAN_FAMILIES
+                    and family in ("functoriality", "naturality") + THEORIES["c"][1]
                     and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
                     and end is not None
                     and end == apply_word_to_term(steps[m2], w2, theory)

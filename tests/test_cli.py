@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -9,6 +10,8 @@ import treegroups
 from treegroups import cli, coherence
 from treegroups.cli import run
 from treegroups.terms import catalan_signature, format_term, parse_term
+
+import cli_reference
 
 
 def invoke(capsys, *argv):
@@ -172,6 +175,36 @@ def test_integer_options_keep_leading_zeros_and_a_minus(capsys):
     assert (code, out, err) == (2, "", "error: n must be at least 2, got -1\n")
     code, _, err = invoke(capsys, "check", "moore", "--n", "9" * 5000)
     assert code == 2 and err.endswith(f"invalid int value: '{'9' * 5000}'\n")
+
+
+def parser_levels(parser, path=()) -> list:
+    """Every parser of the tree, with the command words that reach it."""
+    levels = [(path, parser)]
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                levels += parser_levels(sub, path + (name,))
+    return levels
+
+
+def action_specs(parser) -> list:
+    """What each argument of a parser declares, apart from its type function
+    and the parsers a subcommand argument holds."""
+    return [
+        (a.option_strings, a.dest, a.nargs, a.default, a.required, a.help, a.metavar)
+        + (() if isinstance(a, argparse._SubParsersAction) else (a.choices,))
+        for a in parser._actions
+    ]
+
+
+def test_parser_help_matches_the_reference():
+    got = parser_levels(cli._build_parser())
+    want = parser_levels(cli_reference._build_parser())
+    assert [path for path, _ in got] == [path for path, _ in want]
+    assert len(got) == 17  # the root, six groups and ten commands
+    for (path, parser), (_, reference) in zip(got, want):
+        assert parser.format_help() == reference.format_help(), path
+        assert action_specs(parser) == action_specs(reference), path
 
 
 def test_parser_built_once_gives_the_same_output(capsys):

@@ -17,7 +17,13 @@ from treegroups.terms import (
     lmb,
     parse_term,
 )
-from treegroups.operators import Rule, catalan_theory, generic_theory, symmetric_catalan_theory
+from treegroups.operators import (
+    Rule,
+    catalan_theory,
+    generic_theory,
+    regroup_rule,
+    symmetric_catalan_theory,
+)
 from treegroups.diagrams import (
     identity_diagram,
     invert_diagram,
@@ -33,6 +39,7 @@ from treegroups.coherence import (
     apply_word_to_term,
     check_axioms,
     check_coherence,
+    check_letter,
     check_moore,
     compatibility,
     dual_hexagon,
@@ -502,6 +509,29 @@ def test_relation_instances_sweep():
     }
     c_families = {inst.family for inst in relation_instances(2, "c", max_addr=0)}
     assert c_families == {"pentagon"}  # adjacent associativity is empty at n=2
+
+
+def test_relation_instances_refuse_an_unknown_theory():
+    # any name but "c" used to sweep the symmetric families
+    with pytest.raises(TermError) as caught:
+        list(relation_instances(2, "bogus", 0))
+    assert str(caught.value) == "unknown theory 'bogus' (expected 'c' or 'sc')"
+    with pytest.raises(TermError, match="^unknown theory 'C' "):
+        check_axioms(2, "C", 0)
+    assert list(coherence.THEORIES) == ["c", "sc"]
+
+
+def test_letters_refuse_a_theory_without_an_arity():
+    # a generic theory has n None; letters used to fail on `n - 1`
+    theory = generic_theory("assoc2", catalan_signature(2), [regroup_rule(2, 1)])
+    message = "theory 'assoc2' has no arity for letters to act at"
+    with pytest.raises(TermError) as caught:
+        check_letter(A(1), theory)
+    assert str(caught.value) == message
+    t = parse_term("(x1 (x2 (x3 x4)))", theory.signature)
+    with pytest.raises(TermError) as caught:
+        fill_square(t, theory, A(1), A(1, (2,)))
+    assert str(caught.value) == message
 
 
 def test_check_axioms_small():

@@ -8,8 +8,9 @@ text, the readers' edge tokens, empty words and `--`, mostly well formed
 so that every exit code occurs.  Sizes stay small:
 `--n` from -1 to 4 (6 for `check moore`), `--max-addr` and `--max-nodes`
 at most 2, always given, and `trees count --k` at most 3.  The examples are
-derandomized, so every run checks the same lists.  The module skips when
-`hypothesis` is not installed.
+derandomized, so every run checks the same lists.  On lists drawn the same
+way, the CLI's parser must parse as `cli_reference`'s does.  The module
+skips when `hypothesis` is not installed.
 """
 
 import contextlib
@@ -21,7 +22,9 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from treegroups.cli import run
+from treegroups.cli import _build_parser, run
+
+import cli_reference
 
 # Each value comes mostly from its good list, and in about one draw of four
 # from its edge list.  The CLI reads each edge number as one from -1 to 4, or
@@ -99,3 +102,21 @@ def test_exit_codes_hold_for_any_argv(argv):
     if code == 2:
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
         assert len(errors) <= 1, argv
+
+
+def parse_outcome(parser, argv):
+    """The namespace `argv` parses to, as a dict, or (exit code, stdout,
+    stderr) when the parser exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(argv_lists())
+def test_parser_matches_the_reference_on_any_argv(argv):
+    want = parse_outcome(cli_reference._build_parser(), argv)
+    assert parse_outcome(_build_parser(), argv) == want, argv
