@@ -5,6 +5,10 @@ failed check, 2 for usage or parse errors, for input nested too deeply to
 evaluate or too large for the memory available, and for a check suite that
 would check nothing (n < 2 or a negative bound).  Results go to stdout,
 diagnostics to stderr.
+
+A well-formed argv (group, command, each option spelled in full once with a
+value not starting with `-`, then the words) is read off `_COMMANDS` directly;
+argparse reads every other argv, and alone writes usage, help and errors.
 """
 
 from __future__ import annotations
@@ -82,6 +86,41 @@ _COMMANDS = {
 }
 
 
+def _read_argv(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse gives for a well-formed `argv`, or `None`."""
+    if len(argv) < 2 or argv[1] not in _COMMANDS.get(argv[0], ("", {}))[1]:
+        return None
+    values = {"group": argv[0], "command": argv[1]}
+    options, nargs = {}, None
+    for name, spec in _COMMANDS[argv[0]][1][argv[1]]:
+        if not spec.keys() <= {"type", "choices", "required", "default", "nargs", "help"}:
+            return None
+        if name.startswith("-"):
+            dest = name[2:].replace("-", "_")
+            options[name], values[dest] = (dest, spec), spec.get("default")
+        else:
+            positional, nargs = name, spec.get("nargs", 1)
+    i = 2  # an option read is popped, so a repeat ends the loop and is refused
+    while i + 1 < len(argv) and argv[i] in options and not argv[i + 1].startswith("-"):
+        dest, spec = options.pop(argv[i])
+        try:
+            value = spec.get("type", str)(argv[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+        i += 2
+    words = argv[i:]
+    if any(w.startswith("-") for w in words) or any(s.get("required") for _, s in options.values()):
+        return None
+    if nargs == "*" or nargs == "+" and words:
+        values[positional] = words
+    elif nargs or words:
+        return None
+    return argparse.Namespace(**values)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treegroups")
@@ -104,11 +143,12 @@ def run(argv) -> int:
         argv, tail = argv[:split], argv[split + 1 :]
         second_word = " ".join(tail)
 
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
 
     try:
         return _dispatch(args, second_word)

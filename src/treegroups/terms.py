@@ -200,11 +200,6 @@ def subterms(t: Term):
                 stack.append((address + (k,), u.children[k - 1]))
 
 
-def leaf_addresses(t: Term) -> list:
-    """Addresses of all variable leaves, left to right."""
-    return [a for a, u in subterms(t) if isinstance(u, Var)]
-
-
 def variable_addresses(t: Term, name: str) -> list:
     """Addresses of every occurrence of the named variable, left to right."""
     return [a for a, u in subterms(t) if u == Var(name)]

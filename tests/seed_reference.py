@@ -9,7 +9,8 @@ sides, seeds composed pairwise), and the tests require the two to agree,
 down to the key order of the returned substitutions.
 
 `seed_reduce` is the group-level normal form of a seed, computed on terms
-alone: the tests compare it with the reduced tree diagram.
+alone: the tests compare it with the reduced tree diagram.  `leaf_addresses`
+serves it and the term tests; the library has no use for it.
 """
 
 from treegroups.operators import (
@@ -25,9 +26,9 @@ from treegroups.terms import (
     Var,
     apply_subst,
     is_linear_pair,
-    leaf_addresses,
     replace,
     subterm,
+    subterms,
     support,
     underlying_list,
     variables_in_order,
@@ -158,6 +159,11 @@ def eval_word(trs, signature):
     for tr in trs:
         op = compose(op, translated_seed(tr, signature))
     return op
+
+
+def leaf_addresses(t) -> list:
+    """Addresses of all variable leaves, left to right."""
+    return [a for a, u in subterms(t) if isinstance(u, Var)]
 
 
 def _node_addresses(t, prefix=()):

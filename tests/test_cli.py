@@ -417,3 +417,32 @@ def test_readme_examples(capsys):
 def test_exports_resolve():
     for name in treegroups.__all__:
         assert getattr(treegroups, name) is not None, name
+
+
+def test_well_formed_argv_builds_no_parser(capsys):
+    """Every README example and a success argv of every command, options in
+    another order and defaults left out, run without argparse; help builds it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+    argvs += [
+        ["term", "normalize", "--n", "2", "(x", "(y z))"],
+        ["term", "rank", "--n", "2", "(x (y z))"],
+        ["trees", "count", "--k", "1", "--n", "2"],
+        ["op", "compose", "--theory", "sc", "--n", "2", "s1[-]"],
+        ["word", "eval", "--theory", "c", "--n", "3", "a1[-]", "A1[-]"],
+        ["word", "eq", "--theory", "c", "--n", "2", "--", "a1[-] A1[-]"],
+        ["check", "axioms", "--max-addr", "0", "--theory", "c", "--n", "2"],
+        ["check", "coherence", "--n", "2", "--max-nodes", "2"],
+        ["check", "moore", "--n", "2"],
+        ["export", "dot", "--theory", "c", "--n", "2", ""],
+    ]
+    commands = {(group, command) for group, (_, cs) in cli._COMMANDS.items() for command in cs}
+    assert {tuple(argv[:2]) for argv in argvs} == commands
+    cli._build_parser.cache_clear()
+    for argv in argvs:
+        code, _, err = invoke(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert cli._build_parser.cache_info().misses == 0, argv
+    assert invoke(capsys, "word", "eq", "--help")[0] == 0
+    assert cli._build_parser.cache_info().misses == 1

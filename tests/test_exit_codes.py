@@ -9,8 +9,9 @@ so that every exit code occurs.  Sizes stay small:
 `--n` from -1 to 4 (6 for `check moore`), `--max-addr` and `--max-nodes`
 at most 2, always given, and `trees count --k` at most 3.  The examples are
 derandomized, so every run checks the same lists.  On lists drawn the same
-way, the CLI's parser must parse as `cli_reference`'s does.  The module
-skips when `hypothesis` is not installed.
+way, the CLI's parser must parse as `cli_reference`'s does, and the reader
+that `cli.run` tries before it must give argparse's namespace or decline.
+The module skips when `hypothesis` is not installed.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from treegroups.cli import _build_parser, run
+from treegroups.cli import _build_parser, _read_argv, run
 
 import cli_reference
 
@@ -120,3 +121,48 @@ def parse_outcome(parser, argv):
 def test_parser_matches_the_reference_on_any_argv(argv):
     want = parse_outcome(cli_reference._build_parser(), argv)
     assert parse_outcome(_build_parser(), argv) == want, argv
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(argv_lists())
+def test_reader_gives_the_parsers_namespace_or_declines(argv):
+    args = _read_argv(argv)
+    assert args is None or vars(args) == parse_outcome(_build_parser(), argv), argv
+
+
+EQ = ["word", "eq"]
+C2 = ["--n", "2", "--theory", "c"]
+
+
+@pytest.mark.parametrize("argv", [
+    EQ + ["--theory", "sc", "--n", "02", "a1[-]", "", "s1[1.2]"],
+    EQ + C2,  # no first word
+    ["check", "axioms", "--theory", "c", "--n", "2"],  # --max-addr's default
+    ["check", "coherence", "--max-nodes", "0", "--n", "2"],
+    ["trees", "count", "--k", "1", "--n", "2"],
+    ["term", "rank", "--n", "3", "(x", "y z)"],
+])
+def test_reader_reads_the_success_shape(argv):
+    args = _read_argv(argv)
+    assert args is not None and vars(args) == parse_outcome(_build_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [
+    EQ + ["--the", "c", "--n", "2", "a1[-]"],  # an abbreviation
+    EQ + ["--n=2", "--theory", "c", "a1[-]"],
+    ["check", "moore", "--n", "2", "--n", "3"],  # a repeat
+    EQ + ["-h"],
+    EQ + C2 + ["--help"],
+    ["check", "moore", "--n", "-1"],
+    EQ + ["a1[-]"] + C2,  # a word before the options
+    ["check", "moore", "--n", "9" * 5000],
+    EQ + ["--n", "2", "a1[-]"],  # no --theory
+    ["word", "eval"] + C2,  # no word
+    ["check", "moore", "--n", "3", "x"],
+    ["check", "moore", "--n"],
+    ["check", "axioms", "--n", "2", "--theory", "x"],
+    ["word"],
+    [],
+])
+def test_reader_declines_all_but_the_success_shape(argv):
+    assert _read_argv(argv) is None

@@ -19,7 +19,6 @@ from treegroups.terms import (
     generalized_catalan,
     is_balanced,
     is_linear_pair,
-    leaf_addresses,
     lmb,
     normalize_to_lmb,
     orthogonal,
@@ -37,6 +36,7 @@ from treegroups.terms import (
     variables_in_order,
 )
 
+from seed_reference import leaf_addresses
 from square_reference import assoc_redexes
 from subst_reference import compose_subst
 
