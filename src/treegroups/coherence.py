@@ -39,8 +39,6 @@ from .terms import (
     subterm,
     subterms,
     underlying_list,
-    variable_addresses,
-    variables_in_order,
 )
 from .unify import match
 from .operators import (
@@ -313,43 +311,6 @@ def functoriality_instance(g: Generator, h: Generator, n: int) -> RelationInstan
     )
 
 
-def naturality_instances(
-    rule_gen: Generator, inner: Generator, alpha: tuple, delta: tuple, theory: Theory
-) -> list:
-    """Naturality of a rule letter against an inner letter, one instance per
-    variable of the rule.
-
-    For a variable occurring at addresses b_1..b_p in the rule's source and
-    g_1..g_q in its target:
-
-        rule@alpha . inner@(alpha g_1 delta) ... inner@(alpha g_q delta)
-      = inner@(alpha b_1 delta) ... inner@(alpha b_p delta) . rule@alpha
-
-    The inner letter's own address field is ignored.
-    """
-    rule = theory.rule(f"{rule_gen.kind}{rule_gen.index}")
-    src, tgt = (rule.source, rule.target) if rule_gen.sign > 0 else (rule.target, rule.source)
-    outer = Generator(rule_gen.kind, rule_gen.index, rule_gen.sign, alpha)
-    out = []
-    for name in variables_in_order(src):
-        betas = variable_addresses(src, name)
-        gammas = variable_addresses(tgt, name)
-        lhs = (outer,) + tuple(
-            Generator(inner.kind, inner.index, inner.sign, alpha + g + delta)
-            for g in gammas
-        )
-        rhs = tuple(
-            Generator(inner.kind, inner.index, inner.sign, alpha + b + delta)
-            for b in betas
-        ) + (outer,)
-        out.append(
-            RelationInstance(
-                "naturality", theory.n or 0, (rule_gen.index, inner.index), alpha, lhs, rhs
-            )
-        )
-    return out
-
-
 _FAMILY_BUILDERS = {
     "pentagon": lambda n, base: [pentagon(n, i, base) for i in range(1, n)],
     "adjacent-assoc": lambda n, base: [adjacent_assoc(n, i, base) for i in range(1, n - 1)],
@@ -467,15 +428,16 @@ def positive_paths(t: Term, n: int) -> list:
     return out
 
 
-def _follow(rule, path: tuple) -> tuple | None:
-    """Where the node at `path` below a match of the rule's source sits
-    after the rewrite: its variable's address in the target plus the rest
-    of the path, or None when the path ends inside the source pattern."""
-    node = rule.source
+def _follow(source: Term, where: dict, path: tuple) -> tuple | None:
+    """Where the node at `path` below a match of a rule's `source` sits
+    after the rewrite: its variable's target address in `where` plus the
+    rest of the path, or None when the path ends inside the source pattern."""
+    node = source
     for depth, step in enumerate(path, start=1):
         node = node.children[step - 1]
         if isinstance(node, Var):
-            (gamma,) = variable_addresses(rule.target, node.name)
+            if (gamma := where[node.name]) is None:
+                raise TermError(f"the rule's target repeats variable {node.name!r}")
             return gamma + path[depth:]
     return None
 
@@ -486,32 +448,35 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
     Returns (w1, w2, family) with m1+w1 and m2+w2 equal positive words: the
     two sides of one relation instance, each without its first letter.  Of
     the two letters, `outer` acts at the shorter address and `deep` at the
-    longer.  Orthogonal addresses give functoriality.  When the children
-    `deep.index` and `deep.index + 1` that `deep` rearranges lie in variables
-    of `outer`'s rule and land as adjacent children of one node, the fork is
-    naturality, with `deep` moved there.  Otherwise the closing instance is
-    the one among the theory's declared families at `outer`'s address whose
-    two sides are non-empty and start with m1 and m2; with none, TermError.
-    """
+    longer.  Orthogonal addresses give functoriality.  Naturality is read
+    off `outer`'s rule: when the children `deep.index` and `deep.index + 1`
+    lie in variables of its source and land as adjacent children of one node
+    of its target, `deep` moves there.  Otherwise the closing instance is the
+    one among the theory's declared families at `outer`'s address whose two
+    sides are non-empty and start with m1 and m2; with none, TermError."""
     if m1 == m2:
         raise TermError("fill_square needs two distinct letters")
+    rules = {}  # each letter's rule, looked up once
     for m in (m1, m2):
-        node, rule = subterm(t, m.address), generator_rule(m, theory).rule
-        if m.sign != 1 or node is None or match(rule.source, node) is None:
+        node, rules[m] = subterm(t, m.address), generator_rule(m, theory).rule
+        if m.sign != 1 or node is None or match(rules[m].source, node) is None:
             raise TermError(f"{format_generator(m)} is not a forward step at this term")
 
     if orthogonal(m1.address, m2.address):
         inst = functoriality_instance(m1, m2, theory.n)
     else:
         outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
-        rule, base = generator_rule(outer, theory).rule, outer.address
-        rest = deep.address[len(base) :]
-        left, right = [_follow(rule, rest + (j,)) for j in (deep.index, deep.index + 1)]
+        rule, base = rules[outer], outer.address
+        where = {}  # each variable of the target to its address; None if repeated
+        for address, node in subterms(rule.target):
+            if isinstance(node, Var):
+                where[node.name] = None if node.name in where else address
+        rest, i = deep.address[len(base) :], deep.index
+        left, right = [_follow(rule.source, where, rest + (j,)) for j in (i, i + 1)]
         if left and right and left[:-1] == right[:-1] and left[-1] + 1 == right[-1]:
             moved = Generator(deep.kind, left[-1], deep.sign, base + left[:-1])
             lhs, rhs = (outer, moved), (deep, outer)
-            indices = (outer.index, deep.index)
-            inst = RelationInstance("naturality", theory.n, indices, base, lhs, rhs)
+            inst = RelationInstance("naturality", theory.n, (outer.index, i), base, lhs, rhs)
         else:
             for inst in itertools.chain.from_iterable(
                 _FAMILY_BUILDERS[family](theory.n, base)

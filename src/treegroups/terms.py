@@ -57,6 +57,25 @@ class App:
     symbol: str
     children: tuple
 
+    def __eq__(self, other):
+        # an explicit stack, so that terms of any depth compare; comparing
+        # the children tuples would recurse at several C frames per level
+        if not isinstance(other, App):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a.symbol != b.symbol or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if isinstance(x, App) and isinstance(y, App):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __repr__(self) -> str:
         # a loop calling the method directly: one Python frame per level
         kids = []
@@ -198,11 +217,6 @@ def subterms(t: Term):
         if isinstance(u, App):
             for k in range(len(u.children), 0, -1):
                 stack.append((address + (k,), u.children[k - 1]))
-
-
-def variable_addresses(t: Term, name: str) -> list:
-    """Addresses of every occurrence of the named variable, left to right."""
-    return [a for a, u in subterms(t) if u == Var(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +421,22 @@ def _label_shape(shape, labels) -> Term:
     return App(CAT, tuple(kids))
 
 
-def enumerate_terms(n: int, k: int, labels=None) -> list:
+def enumerate_terms(n: int, k: int) -> list:
     """All terms over the n-ary tuple symbol with k internal nodes.
 
-    Leaves are labelled left to right, with x1, x2, ... by default.  Shapes
-    come in lexicographic order of their child sizes, then of the children's
-    shapes, so every forward regrouping leads to a later term of the list:
-    it keeps the size of every subtree above its node, and at its node it
-    raises the size of the first child it changes.
+    Leaves are labelled x1, x2, ... left to right.  Shapes come in
+    lexicographic order of their child sizes, then of the children's shapes,
+    so every forward regrouping leads to a later term of the list: it keeps
+    the size of every subtree above its node, and at its node it raises the
+    size of the first child it changes.
     """
     if n < 2:
         raise TermError("tuple symbol arity must be at least 2")
     if k < 0:
         raise TermError("k must be nonnegative")
-    m = k * (n - 1) + 1
-    if labels is None:
-        labels = [f"x{j}" for j in range(1, m + 1)]
-    labels = list(labels)
-    if len(labels) != m:
-        raise TermError(f"need exactly {m} leaf labels, got {len(labels)}")
     if k == 0:
-        return [Var(labels[0])]
+        return [Var("x1")]
+    labels = [f"x{j}" for j in range(1, k * (n - 1) + 2)]
     return [_label_shape(shape, iter(labels)) for shape in _shapes(n, k)]
 
 

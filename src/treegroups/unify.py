@@ -29,14 +29,14 @@ class UnifierPair:
     right: dict
 
 
-def match(pattern: Term, subject: Term, bindings: dict | None = None) -> dict | None:
+def match(pattern: Term, subject: Term) -> dict | None:
     """One-sided matching: a substitution phi with pattern^phi == subject.
 
     Subject variables are treated as constants.  Returns None when the
     subject is not an instance of the pattern (including inconsistent
     bindings of a repeated pattern variable).
     """
-    out = dict(bindings) if bindings else {}
+    out = {}
     stack = [(pattern, subject)]
     while stack:
         p, s = stack.pop()

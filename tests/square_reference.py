@@ -7,6 +7,10 @@ functoriality, adjacent associativity, the pentagon, and naturality with
 the deep letter moved by hand.  The library reads both off the theory's
 rules instead (`coherence.positive_steps` and `coherence.fill_square`);
 the two must agree on every fork.
+
+`naturality_instances` states naturality once per variable of a rule, from
+the variable's addresses in the rule's two sides (`variable_addresses`); the
+library reads the same squares off one rule target walk in `fill_square`.
 """
 
 from treegroups.coherence import (
@@ -18,6 +22,7 @@ from treegroups.coherence import (
     pentagon,
     theory_for,
 )
+from treegroups.operators import Theory
 from treegroups.terms import (
     App,
     Term,
@@ -26,8 +31,50 @@ from treegroups.terms import (
     orthogonal,
     subterm,
     subterms,
-    variable_addresses,
+    variables_in_order,
 )
+
+
+def variable_addresses(t: Term, name: str) -> list:
+    """Addresses of every occurrence of the named variable, left to right."""
+    return [a for a, u in subterms(t) if u == Var(name)]
+
+
+def naturality_instances(
+    rule_gen: Generator, inner: Generator, alpha: tuple, delta: tuple, theory: Theory
+) -> list:
+    """Naturality of a rule letter against an inner letter, one instance per
+    variable of the rule.
+
+    For a variable occurring at addresses b_1..b_p in the rule's source and
+    g_1..g_q in its target:
+
+        rule@alpha . inner@(alpha g_1 delta) ... inner@(alpha g_q delta)
+      = inner@(alpha b_1 delta) ... inner@(alpha b_p delta) . rule@alpha
+
+    The inner letter's own address field is ignored.
+    """
+    rule = theory.rule(f"{rule_gen.kind}{rule_gen.index}")
+    src, tgt = (rule.source, rule.target) if rule_gen.sign > 0 else (rule.target, rule.source)
+    outer = Generator(rule_gen.kind, rule_gen.index, rule_gen.sign, alpha)
+    out = []
+    for name in variables_in_order(src):
+        betas = variable_addresses(src, name)
+        gammas = variable_addresses(tgt, name)
+        lhs = (outer,) + tuple(
+            Generator(inner.kind, inner.index, inner.sign, alpha + g + delta)
+            for g in gammas
+        )
+        rhs = tuple(
+            Generator(inner.kind, inner.index, inner.sign, alpha + b + delta)
+            for b in betas
+        ) + (outer,)
+        out.append(
+            RelationInstance(
+                "naturality", theory.n or 0, (rule_gen.index, inner.index), alpha, lhs, rhs
+            )
+        )
+    return out
 
 
 def assoc_redexes(t: Term) -> list:

@@ -4,7 +4,7 @@
 checks that a ground unifier factors through the most general one.
 """
 
-from treegroups.terms import Var, apply_subst
+from treegroups.terms import App, Var, apply_subst
 from treegroups.unify import match
 
 
@@ -17,10 +17,7 @@ def compose_subst(first: dict, second: dict) -> dict:
 
 
 def match_many(pairs) -> dict | None:
-    """Match several (pattern, subject) pairs under one shared binding."""
-    out: dict | None = {}
-    for pattern, subject in pairs:
-        out = match(pattern, subject, out)
-        if out is None:
-            return None
-    return out
+    """Match several (pattern, subject) pairs under one shared binding: one
+    node holding every pattern against one node holding every subject."""
+    patterns = App("pairs", tuple(pattern for pattern, _ in pairs))
+    return match(patterns, App("pairs", tuple(subject for _, subject in pairs)))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import re
 import shlex
@@ -320,6 +321,36 @@ def test_check_coherence(capsys):
     code, out, _ = invoke(capsys, "check", "coherence", "--n", "2", "--max-nodes", "3")
     assert code == 0
     assert out.strip().endswith("all-pass")
+
+
+# The suites of the check-suites benchmark workload, in its order.
+CHECK_SUITES = (
+    [
+        ["check", "axioms", "--n", str(n), "--theory", theory, "--max-addr", str(a)]
+        for n in (2, 3, 4)
+        for theory in ("c", "sc")
+        for a in (0, 1, 2)
+    ]
+    + [
+        ["check", "coherence", "--n", str(n), "--max-nodes", str(k)]
+        for n, top in ((2, 5), (3, 4))
+        for k in range(1, top + 1)
+    ]
+    + [["check", "moore", "--n", str(n)] for n in (3, 4, 5)]
+)
+
+
+def test_check_suite_outputs_are_pinned(capsys):
+    # argv, exit code and report of every suite, 1 305 report lines in
+    # all: a refactor of the checkers must leave every byte of them as it was
+    text = ""
+    for argv in CHECK_SUITES:
+        code, out, _ = invoke(capsys, *argv)
+        text += " ".join(argv) + "\n" + str(code) + "\n" + out
+    assert len(CHECK_SUITES) == 30 and text.count("\n") == 2 * 30 + 1305
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b2509d3a75a15768525a8528d7ec75f63a33b444951bbca1de14c82967054802"
+    )
 
 
 def test_check_suites_refuse_to_check_nothing(capsys):

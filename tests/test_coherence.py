@@ -16,9 +16,11 @@ from treegroups.terms import (
     enumerate_terms,
     lmb,
     parse_term,
+    subterm,
 )
 from treegroups.operators import (
     Rule,
+    Theory,
     catalan_theory,
     generic_theory,
     regroup_rule,
@@ -53,7 +55,6 @@ from treegroups.coherence import (
     hexagon,
     invert_word,
     involution,
-    naturality_instances,
     parse_word,
     pentagon,
     positive_paths,
@@ -69,6 +70,7 @@ from treegroups.coherence import (
 from treegroups.unify import mgu
 
 import square_reference
+from square_reference import naturality_instances
 
 
 def v(name):
@@ -494,6 +496,79 @@ def test_fill_square_closes_symmetric_forks_from_the_declared_families():
     t = parse_term("(x1 (x2 x3 x4) x5)", sig)
     with pytest.raises(TermError):
         fill_square(t, sc3, A(1), S(2))
+
+
+# (n, max nodes) of the symmetric sweep, and what it meets there: forks,
+# refusals, squares per family, and naturality squares in a variable.
+SYMMETRIC_SWEEP = {
+    (2, 4): {
+        "forks": 212, "refused": 27,
+        "naturality": 138, "dual-hexagon": 27, "functoriality": 13, "pentagon": 7,
+        "in a variable": 138,
+    },
+    (3, 3): {
+        "forks": 308, "refused": 36,
+        "naturality": 196, "three-cycle": 43, "dual-hexagon": 18,
+        "functoriality": 12, "pentagon": 2, "adjacent-assoc": 1,
+        "in a variable": 176,
+    },
+    (4, 2): {
+        "forks": 81, "refused": 7,
+        "naturality": 53, "three-cycle": 18, "dual-hexagon": 3,
+        "in a variable": 36,
+    },
+}
+
+
+def test_fill_square_sweeps_the_symmetric_forks():
+    # every fork of the symmetric theory either is refused or closes; a
+    # naturality square whose deep letter acts inside a variable of the
+    # outer rule's source is one of the reference's per-variable instances
+    for (n, max_nodes), expected in SYMMETRIC_SWEEP.items():
+        theory = theory_for("sc", n)
+        seen = {"forks": 0, "refused": 0, "in a variable": 0}
+        for k in range(max_nodes + 1):
+            for t in enumerate_terms(n, k):
+                for m1, m2 in itertools.combinations(positive_steps(t, theory), 2):
+                    seen["forks"] += 1
+                    try:
+                        w1, w2, family = fill_square(t, theory, m1, m2)
+                    except TermError:
+                        seen["refused"] += 1
+                        continue
+                    seen[family] = seen.get(family, 0) + 1
+                    end = apply_word_to_term(t, (m1,) + w1, theory)
+                    assert end is not None and end == apply_word_to_term(t, (m2,) + w2, theory)
+                    assert words_equal((m1,) + w1, (m2,) + w2, n, "sc")
+                    outer, deep = sorted((m1, m2), key=lambda m: len(m.address))
+                    rest = deep.address[len(outer.address) :]
+                    source = theory.rule(f"{outer.kind}{outer.index}").source
+                    depths = [
+                        depth
+                        for depth in range(1, len(rest) + 1)
+                        if isinstance(subterm(source, rest[:depth]), Var)
+                    ]
+                    if family == "naturality" and depths:
+                        seen["in a variable"] += 1
+                        sides = frozenset(((m1,) + w1, (m2,) + w2))
+                        assert sides in [
+                            frozenset((inst.lhs, inst.rhs))
+                            for inst in naturality_instances(
+                                outer, deep, outer.address, rest[depths[0] :], theory
+                            )
+                        ]
+        assert seen == expected, n
+
+
+def test_fill_square_refuses_a_rule_whose_target_repeats_the_variable():
+    # naturality moves the deep letter to the one place its variable lands;
+    # a variable the target repeats has no such place
+    x, y, z = v("x"), v("y"), v("z")
+    rule = Rule("a1", cat(x, cat(y, z)), cat(cat(x, y), cat(z, z)))
+    theory = Theory("c", catalan_signature(2), (rule,), 2)
+    t = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
+    with pytest.raises(TermError, match="the rule's target repeats variable 'z'"):
+        fill_square(t, theory, A(1), A(1, (2,)))
 
 
 def test_relation_instances_sweep():

@@ -8,6 +8,7 @@ from treegroups.terms import (
     Signature,
     TermError,
     Var,
+    apply_subst,
     cat,
     enumerate_terms,
     is_linear_pair,
@@ -117,7 +118,8 @@ def test_compose_example():
         cat(cat(cat(v("x1"), v("x2")), v("x3")), v("x4")),
     )
     # cross-check on ground instances
-    for u in enumerate_terms(2, 3, list("abcd")):
+    for u in enumerate_terms(2, 3):
+        u = apply_subst(u, {f"x{j}": v(name) for j, name in enumerate("abcd", 1)})
         once = apply_operator(alpha, u)
         twice = apply_operator(alpha, once) if once is not None else None
         assert apply_operator(square, u) == twice
@@ -205,7 +207,7 @@ def test_composable_theories_have_no_empty_products():
 
 
 def test_ground_semantics_small():
-    grounds = [t for k in range(5) for t in enumerate_terms(2, k, None)]
+    grounds = [t for k in range(5) for t in enumerate_terms(2, k)]
     pool = letters(C2, max_len=1)
     rng = random.Random(31)
     for _ in range(200):

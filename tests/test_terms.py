@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from treegroups.terms import (
     App,
     ParseError,
     Signature,
+    Term,
     TermError,
     Var,
     apply_assoc,
@@ -32,12 +34,11 @@ from treegroups.terms import (
     support,
     term_length,
     underlying_list,
-    variable_addresses,
     variables_in_order,
 )
 
 from seed_reference import leaf_addresses
-from square_reference import assoc_redexes
+from square_reference import assoc_redexes, variable_addresses
 from subst_reference import compose_subst
 
 
@@ -359,6 +360,35 @@ def test_repr_of_a_deep_comb():
     text = repr(comb)
     assert text.startswith("App('F', (Var('x1'), App('F', (Var('x2'), App(")
     assert text.endswith("(Var('x900'), Var('x901')" + "))" * 900)
+
+
+def _right_comb(depth: int, last: str) -> Term:
+    """A fresh right comb over F/2, `depth` levels deep, ending in `last`."""
+    comb = Var(last)
+    for j in range(depth, 0, -1):
+        comb = App("F", (Var(f"x{j}"), comb))
+    return comb
+
+
+def test_equality_of_deep_combs():
+    # `==` walks an explicit stack; the dataclass's tuple comparison failed
+    # on two distinct equal combs from 249 levels
+    assert _right_comb(2000, "y") == _right_comb(2000, "y")
+    assert _right_comb(2000, "y") != _right_comb(2000, "z")
+    assert App.__eq__(_right_comb(3, "y"), Var("y")) is NotImplemented
+
+
+def test_equality_agrees_with_the_structure():
+    # repr spells a term's whole structure, so equal reprs are the
+    # dataclass's structural equality; the copies are distinct objects
+    terms = list(_walker_terms())
+    terms += [apply_subst(t, {underlying_list(t)[-1]: v("q")}) for t in terms]
+    terms += [Var("x1"), App("F", (Var("x1"),)), App("G", (Var("x1"),))]
+    copies = [copy.deepcopy(t) for t in terms]
+    spelled = [repr(t) for t in terms]
+    for s, text in zip(terms, spelled):
+        for t, other in zip(copies, spelled):
+            assert (s == t) == (text == other) == (not s != t)
 
 
 def test_signature_validation():
