@@ -217,7 +217,6 @@ def words_equal(w1, w2, n: int, theory_name: str) -> bool:
 @dataclass(frozen=True)
 class RelationInstance:
     family: str
-    n: int
     indices: tuple
     base: tuple
     lhs: GeneratorWord
@@ -244,7 +243,7 @@ def pentagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
         A(k, base + (i,)) for k in range(n - 1, 0, -1)
     )
     rhs = (A(i, base), A(i, base))
-    return RelationInstance("pentagon", n, (i,), base, lhs, rhs)
+    return RelationInstance("pentagon", (i,), base, lhs, rhs)
 
 
 def adjacent_assoc(n: int, i: int, base: tuple = ()) -> RelationInstance:
@@ -252,13 +251,13 @@ def adjacent_assoc(n: int, i: int, base: tuple = ()) -> RelationInstance:
     _range_check(i, 1, n - 2, "adjacent associativity index")
     lhs = (A(i, base), A(i + 1, base), A(i, base))
     rhs = (A(i + 1, base), A(i, base), A(1, base + (i,)))
-    return RelationInstance("adjacent-assoc", n, (i,), base, lhs, rhs)
+    return RelationInstance("adjacent-assoc", (i,), base, lhs, rhs)
 
 
 def involution(n: int, i: int, base: tuple = ()) -> RelationInstance:
     _range_check(i, 1, n - 1, "involution index")
     lhs = (S(i, base), S(i, base))
-    return RelationInstance("involution", n, (i,), base, lhs, ())
+    return RelationInstance("involution", (i,), base, lhs, ())
 
 
 def compatibility(n: int, i: int, j: int, base: tuple = ()) -> RelationInstance:
@@ -267,7 +266,7 @@ def compatibility(n: int, i: int, j: int, base: tuple = ()) -> RelationInstance:
     _range_check(j, 1, n - 2, "compatibility index j")
     lhs = (A(i - 1, base), S(j + 1, base + (i - 1,)))
     rhs = (S(j, base + (i,)), A(i - 1, base))
-    return RelationInstance("compatibility", n, (i, j), base, lhs, rhs)
+    return RelationInstance("compatibility", (i, j), base, lhs, rhs)
 
 
 def three_cycle(n: int, i: int, base: tuple = ()) -> RelationInstance:
@@ -275,7 +274,7 @@ def three_cycle(n: int, i: int, base: tuple = ()) -> RelationInstance:
     _range_check(i, 1, n - 2, "three-cycle index")
     lhs = (S(i, base), S(i + 1, base), S(i, base))
     rhs = (S(i + 1, base), S(i, base), S(i + 1, base))
-    return RelationInstance("three-cycle", n, (i,), base, lhs, rhs)
+    return RelationInstance("three-cycle", (i,), base, lhs, rhs)
 
 
 def hexagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
@@ -287,7 +286,7 @@ def hexagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
         + tuple(S(k, base + (i + 1,)) for k in range(n - 1, 0, -1))
         + (A(i, base),)
     )
-    return RelationInstance("hexagon", n, (i,), base, lhs, rhs)
+    return RelationInstance("hexagon", (i,), base, lhs, rhs)
 
 
 def dual_hexagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
@@ -299,16 +298,14 @@ def dual_hexagon(n: int, i: int, base: tuple = ()) -> RelationInstance:
         + tuple(S(k, base + (i,)) for k in range(1, n))
         + (A(i, base, -1),)
     )
-    return RelationInstance("dual-hexagon", n, (i,), base, lhs, rhs)
+    return RelationInstance("dual-hexagon", (i,), base, lhs, rhs)
 
 
-def functoriality_instance(g: Generator, h: Generator, n: int) -> RelationInstance:
+def functoriality_instance(g: Generator, h: Generator) -> RelationInstance:
     """Letters at orthogonal addresses commute."""
     if not orthogonal(g.address, h.address):
         raise TermError("functoriality needs orthogonal addresses")
-    return RelationInstance(
-        "functoriality", n, (g.index, h.index), (), (g, h), (h, g)
-    )
+    return RelationInstance("functoriality", (g.index, h.index), (), (g, h), (h, g))
 
 
 _FAMILY_BUILDERS = {
@@ -341,17 +338,13 @@ def _theory_entry(name: str) -> tuple:
     return THEORIES[name]
 
 
-def base_addresses(n: int, max_len: int):
-    for length in range(max_len + 1):
-        yield from itertools.product(range(1, n + 1), repeat=length)
-
-
 def relation_instances(n: int, theory_name: str, max_addr: int = 2):
     """All instances of the theory's families at base addresses up to max_addr."""
     for family in _theory_entry(theory_name)[1]:
         build = _FAMILY_BUILDERS[family]
-        for base in base_addresses(n, max_addr):
-            yield from build(n, base)
+        for length in range(max_addr + 1):
+            for base in itertools.product(range(1, n + 1), repeat=length):
+                yield from build(n, base)
 
 
 def check_axioms(n: int, theory_name: str, max_addr: int = 2):
@@ -463,7 +456,7 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
             raise TermError(f"{format_generator(m)} is not a forward step at this term")
 
     if orthogonal(m1.address, m2.address):
-        inst = functoriality_instance(m1, m2, theory.n)
+        inst = functoriality_instance(m1, m2)
     else:
         outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
         rule, base = rules[outer], outer.address
@@ -476,7 +469,7 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
         if left and right and left[:-1] == right[:-1] and left[-1] + 1 == right[-1]:
             moved = Generator(deep.kind, left[-1], deep.sign, base + left[:-1])
             lhs, rhs = (outer, moved), (deep, outer)
-            inst = RelationInstance("naturality", theory.n, (outer.index, i), base, lhs, rhs)
+            inst = RelationInstance("naturality", (outer.index, i), base, lhs, rhs)
         else:
             for inst in itertools.chain.from_iterable(
                 _FAMILY_BUILDERS[family](theory.n, base)
@@ -551,32 +544,27 @@ def twist_diagram(n: int, i: int) -> TreeDiagram:
 def check_moore(n: int):
     """Verify the symmetric-group presentation on induced transpositions.
 
-    Checks T_i^2 = 1, (T_i T_{i+1})^3 = 1, and (T_i T_k)^2 = 1 for k >= i+2
-    as diagram identities, plus (n <= 5) that the generated closure has
-    exactly n! elements.  Returns (all passed, report lines).
+    Decides T_i^2 = 1, (T_i T_{i+1})^3 = 1, and (T_i T_k)^2 = 1 for k >= i+2
+    as words in the twists s<i>, like every other relation, plus (n <= 5) that
+    the twist diagrams generate exactly n! elements.  Returns (all passed,
+    report lines).
     """
     _check_size(n)
-    checks = []  # (label, ok)
-    one = identity_diagram(n)
-    gens = {i: twist_diagram(n, i) for i in range(1, n)}
-    for i in range(1, n):
-        checks.append((f"T{i}^2", multiply(gens[i], gens[i]) == one))
-    for i in range(1, n - 1):
-        prod = multiply(gens[i], gens[i + 1])
-        checks.append(
-            (f"(T{i}T{i + 1})^3", multiply(prod, multiply(prod, prod)) == one)
-        )
-    for i in range(1, n):
-        for k in range(i + 2, n):
-            prod = multiply(gens[i], gens[k])
-            checks.append((f"(T{i}T{k})^2", multiply(prod, prod) == one))
+    relations = [(f"T{i}^2", (S(i),) * 2) for i in range(1, n)]
+    relations += [(f"(T{i}T{i + 1})^3", (S(i), S(i + 1)) * 3) for i in range(1, n - 1)]
+    relations += [
+        (f"(T{i}T{k})^2", (S(i), S(k)) * 2) for i in range(1, n) for k in range(i + 2, n)
+    ]
+    checks = [(label, words_equal(word, (), n, "sc")) for label, word in relations]
     if n <= 5:
+        one = identity_diagram(n)
+        gens = [twist_diagram(n, i) for i in range(1, n)]
         closure = {one}
         frontier = [one]
         while frontier:
             new = []
             for d in frontier:
-                for g in gens.values():
+                for g in gens:
                     prod = multiply(d, g)
                     if prod not in closure:
                         closure.add(prod)

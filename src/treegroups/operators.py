@@ -16,7 +16,7 @@ a nested tuple one child position to the left) and its symmetric extension
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .terms import (
     CAT,
@@ -211,15 +211,12 @@ class Theory:
     signature: Signature
     rules: tuple
     n: int | None = None
-    _by_name: dict = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", {r.name: r for r in self.rules})
 
     def rule(self, name: str) -> Rule:
-        if name not in self._by_name:
-            raise TermError(f"theory {self.name!r} has no rule {name!r}")
-        return self._by_name[name]
+        for rule in self.rules:
+            if rule.name == name:
+                return rule
+        raise TermError(f"theory {self.name!r} has no rule {name!r}")
 
     def equations(self):
         return [(r.source, r.target) for r in self.rules]
@@ -267,10 +264,6 @@ def symmetric_catalan_theory(n: int) -> Theory:
         swap_rule(n, i) for i in range(1, n)
     )
     return Theory("sc", sig, rules, n)
-
-
-def generic_theory(name: str, signature: Signature, rules) -> Theory:
-    return Theory(name, signature, tuple(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,11 @@ def lmb(labels, n: int) -> Term:
         raise TermError("tuple symbol arity must be at least 2")
     if m == 0:
         raise TermError("empty leaf word")
-    if m == 1:
-        return Var(labels[0])
     if (m - 1) % (n - 1) != 0:
         raise TermError(f"leaf word of length {m} is not n + k(n-1) for n={n}")
-    node: Term = App(CAT, tuple(Var(x) for x in labels[:n]))
-    rest = labels[n:]
-    while rest:
-        node = App(CAT, (node,) + tuple(Var(x) for x in rest[: n - 1]))
-        rest = rest[n - 1 :]
+    node: Term = Var(labels[0])
+    for start in range(1, m, n - 1):
+        node = App(CAT, (node,) + tuple(Var(x) for x in labels[start : start + n - 1]))
     return node
 
 

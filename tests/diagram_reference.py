@@ -9,8 +9,12 @@ draws a diagram from random carets and a random perm, and
 `expand_diagram` works by leaf-index arithmetic, not by the `TreePair` that
 `treegroups.diagrams.multiply` acts on, so the tests that feed it unreduced
 factors check the product against a different route.
+
+`moore_relation_lines` checks Moore's relations by chaining `multiply` over
+the twist diagrams; `coherence.check_moore` decides them as words instead.
 """
 
+from treegroups.coherence import twist_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -107,3 +111,23 @@ def random_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
 
 def random_reduced_diagram(n: int, rng, max_carets: int = 5) -> TreeDiagram:
     return reduce(random_diagram(n, rng, max_carets))
+
+
+def moore_relation_lines(n: int) -> list:
+    """The relation lines of `check_moore(n)`, each relation a product of
+    twist diagrams compared with the identity."""
+    one = identity_diagram(n)
+    gens = {i: twist_diagram(n, i) for i in range(1, n)}
+    checks = []  # (label, ok)
+    for i in range(1, n):
+        checks.append((f"T{i}^2", multiply(gens[i], gens[i]) == one))
+    for i in range(1, n - 1):
+        prod = multiply(gens[i], gens[i + 1])
+        checks.append(
+            (f"(T{i}T{i + 1})^3", multiply(prod, multiply(prod, prod)) == one)
+        )
+    for i in range(1, n):
+        for k in range(i + 2, n):
+            prod = multiply(gens[i], gens[k])
+            checks.append((f"(T{i}T{k})^2", multiply(prod, prod) == one))
+    return [f"moore n={n} {label} {'PASS' if ok else 'FAIL'}" for label, ok in checks]

@@ -70,9 +70,7 @@ def naturality_instances(
             for b in betas
         ) + (outer,)
         out.append(
-            RelationInstance(
-                "naturality", theory.n or 0, (rule_gen.index, inner.index), alpha, lhs, rhs
-            )
+            RelationInstance("naturality", (rule_gen.index, inner.index), alpha, lhs, rhs)
         )
     return out
 
@@ -140,6 +138,6 @@ def fill_square(t: Term, n: int, m1: Generator, m2: Generator):
             (gamma,) = variable_addresses(rule.target, var.name)
             moved = A(deep.index, base + gamma + rest[depth:])
         lhs, rhs = (outer, moved), (deep, outer)
-        inst = RelationInstance("naturality", n, (i, deep.index), base, lhs, rhs)
+        inst = RelationInstance("naturality", (i, deep.index), base, lhs, rhs)
     sides = {inst.lhs[0]: inst.lhs[1:], inst.rhs[0]: inst.rhs[1:]}
     return sides[m1], sides[m2], inst.family

@@ -353,6 +353,20 @@ def test_check_suite_outputs_are_pinned(capsys):
     )
 
 
+def test_check_moore_outputs_are_pinned(capsys):
+    # argv, exit code and report for n = 2..8, 95 report lines in all; above
+    # n = 5 the suite checks the relations alone
+    text = ""
+    for n in range(2, 9):
+        argv = ["check", "moore", "--n", str(n)]
+        code, out, _ = invoke(capsys, *argv)
+        text += " ".join(argv) + "\n" + str(code) + "\n" + out
+    assert text.count("\n") == 2 * 7 + 95
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e6630d6e9fdd9195843fff6c168829ae6e67dd8075355a817352bf81f61272aa"
+    )
+
+
 def test_check_suites_refuse_to_check_nothing(capsys):
     for argv in (
         ["check", "axioms", "--n", "1", "--theory", "sc"],
@@ -370,7 +384,7 @@ def test_check_axioms_reports_a_failing_instance(monkeypatch, capsys):
     def broken_involution(n, i, base=()):
         # one twist is not the identity
         lhs = (coherence.S(i, base),)
-        return coherence.RelationInstance("involution", n, (i,), base, lhs, ())
+        return coherence.RelationInstance("involution", (i,), base, lhs, ())
 
     monkeypatch.setattr(coherence, "involution", broken_involution)
     code, out, _ = invoke(

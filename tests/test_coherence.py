@@ -22,7 +22,6 @@ from treegroups.operators import (
     Rule,
     Theory,
     catalan_theory,
-    generic_theory,
     regroup_rule,
     symmetric_catalan_theory,
 )
@@ -70,6 +69,7 @@ from treegroups.coherence import (
 from treegroups.unify import mgu
 
 import square_reference
+from diagram_reference import moore_relation_lines
 from square_reference import naturality_instances
 
 
@@ -182,10 +182,10 @@ def test_compatibility_and_three_cycle():
 
 
 def test_functoriality():
-    inst = functoriality_instance(A(1, (1,)), A(1, (2,)), 2)
+    inst = functoriality_instance(A(1, (1,)), A(1, (2,)))
     assert words_equal(inst.lhs, inst.rhs, 2, "c")
     with pytest.raises(TermError):
-        functoriality_instance(A(1), A(1, (2,)), 2)
+        functoriality_instance(A(1), A(1, (2,)))
 
 
 def test_naturality_instances_linear():
@@ -451,7 +451,7 @@ def test_positive_steps_land_later_in_the_enumeration():
 def test_positive_steps_refuse_a_rule_not_named_as_a_letter():
     x, y, z = v("x"), v("y"), v("z")
     rule = Rule("assoc", App("F", (x, App("F", (y, z)))), App("F", (App("F", (x, y)), z)))
-    theory = generic_theory("assoc", Signature([("F", 2)]), [rule])
+    theory = Theory("assoc", Signature([("F", 2)]), (rule,))
     with pytest.raises(TermError, match="rule 'assoc' is not named as a letter"):
         positive_steps(rule.source, theory)
 
@@ -598,7 +598,7 @@ def test_relation_instances_refuse_an_unknown_theory():
 
 def test_letters_refuse_a_theory_without_an_arity():
     # a generic theory has n None; letters used to fail on `n - 1`
-    theory = generic_theory("assoc2", catalan_signature(2), [regroup_rule(2, 1)])
+    theory = Theory("assoc2", catalan_signature(2), (regroup_rule(2, 1),))
     message = "theory 'assoc2' has no arity for letters to act at"
     with pytest.raises(TermError) as caught:
         check_letter(A(1), theory)
@@ -715,3 +715,24 @@ def test_twist_diagram_and_moore():
         ok, lines = check_moore(n)
         assert ok
         assert any("closure" in line for line in lines)
+
+
+def test_moore_relations_agree_with_the_multiply_chain():
+    # the relations are decided as words; the reference multiplies the
+    # twist diagrams, and only n <= 5 adds the closure line
+    for n in range(2, 9):
+        ok, lines = check_moore(n)
+        reference = moore_relation_lines(n)
+        assert ok and lines[: len(reference)] == reference
+        assert len(lines) - len(reference) == (n <= 5)
+        assert len(reference) == (n - 1) + (n - 2) + (n - 2) * (n - 3) // 2
+
+
+def test_theory_rule_refuses_a_name_the_theory_lacks():
+    with pytest.raises(TermError) as caught:
+        catalan_theory(2).rule("s1")
+    assert str(caught.value) == "theory 'c' has no rule 's1'"
+    sc2 = symmetric_catalan_theory(2)
+    assert sc2.rule("s1") is sc2.rules[1] and sc2.rule("a1") is sc2.rules[0]
+    assert hash(theory_for("c", 3)) == hash(catalan_theory(3))
+    assert theory_for("c", 3) == catalan_theory(3) != symmetric_catalan_theory(3)

@@ -18,13 +18,13 @@ from treegroups.operators import (
     EMPTY,
     Rule,
     Seed,
+    Theory,
     TranslatedRule,
     apply_operator,
     canonical,
     catalan_theory,
     compose,
     eval_word,
-    generic_theory,
     identity_operator,
     invert,
     rewrite_at,
@@ -233,7 +233,7 @@ def test_congruent_examples():
 def test_congruent_generic_search_and_budget():
     sig = Signature([("F", 2)])
     rule = Rule("comm", App("F", (v("x"), v("y"))), App("F", (v("y"), v("x"))))
-    theory = generic_theory("comm", sig, [rule])
+    theory = Theory("comm", sig, (rule,))
     a, b, c = v("a"), v("b"), v("c")
     t1 = App("F", (App("F", (a, b)), c))
     t2 = App("F", (c, App("F", (b, a))))
@@ -268,7 +268,7 @@ def test_naturality_holds_for_nonlinear_balanced_theory():
     # a balanced nonlinear rule: collapsing a duplicated argument
     sig = Signature([("F", 2)])
     dup = Rule("dup", App("F", (v("x"), v("x"))), v("x"))
-    theory = generic_theory("dup", sig, [dup])
+    theory = Theory("dup", sig, (dup,))
     t = TranslatedRule(dup, (), True)
     # the rule's variable occurs twice in the source, once in the target:
     #   dup . dup@() == dup@(1) . dup@(2) . dup

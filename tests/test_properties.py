@@ -24,11 +24,11 @@ from treegroups.diagrams import (
 from treegroups.operators import (
     EMPTY,
     Rule,
+    Theory,
     TranslatedRule,
     catalan_theory,
     compose,
     eval_word,
-    generic_theory,
     symmetric_catalan_theory,
 )
 from treegroups.terms import App, Signature, Var
@@ -97,13 +97,13 @@ def test_multiply_is_associative(factors):
 # head symbol (flip), so that some composites are EMPTY.
 
 _X, _Y = Var("x"), Var("y")
-GENERIC = generic_theory(
+GENERIC = Theory(
     "dup-flip",
     Signature([("F", 2), ("G", 2)]),
-    [
+    (
         Rule("dup", App("F", (_X, _X)), _X),
         Rule("flip", App("F", (_X, _Y)), App("G", (_Y, _X))),
-    ],
+    ),
 )
 THEORIES = (
     [catalan_theory(n) for n in (2, 3, 4)]

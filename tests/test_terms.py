@@ -37,6 +37,7 @@ from treegroups.terms import (
     variables_in_order,
 )
 
+import comb_reference
 from seed_reference import leaf_addresses
 from square_reference import assoc_redexes, variable_addresses
 from subst_reference import compose_subst
@@ -159,6 +160,40 @@ def test_lmb():
         lmb(["x1", "x2"], 3)
     with pytest.raises(TermError):
         lmb([], 2)
+
+
+def test_lmb_agrees_with_the_reference():
+    # the fold against the slicing comb, errors included
+    for n in range(2, 6):
+        for m in range(1, 401):
+            labels = [f"x{j}" for j in range(1, m + 1)]
+            try:
+                expected = comb_reference.lmb(labels, n)
+            except TermError as error:
+                with pytest.raises(TermError) as caught:
+                    lmb(labels, n)
+                assert str(caught.value) == str(error)
+            else:
+                assert lmb(labels, n) == expected
+    for labels, n in (([], 2), (["x"], 1), (["x1", "x2"], 1)):
+        with pytest.raises(TermError) as caught:
+            lmb(labels, n)
+        with pytest.raises(TermError) as expected:
+            comb_reference.lmb(labels, n)
+        assert str(caught.value) == str(expected.value)
+
+
+def test_lmb_of_a_long_word():
+    # one fold step per level: 100 001 labels make 100 000 levels, checked
+    # with loops because `hash` of deep terms recurses
+    names = [f"x{j}" for j in range(1, 100_002)]
+    comb = lmb(names, 2)
+    assert underlying_list(comb) == names
+    depth, node = 0, comb
+    while isinstance(node, App):
+        assert len(node.children) == 2 and isinstance(node.children[1], Var)
+        depth, node = depth + 1, node.children[0]
+    assert (depth, node) == (100_000, Var("x1"))
 
 
 def test_length_and_rank():
