@@ -338,7 +338,7 @@ def _theory_entry(name: str) -> tuple:
     return THEORIES[name]
 
 
-def relation_instances(n: int, theory_name: str, max_addr: int = 2):
+def relation_instances(n: int, theory_name: str, max_addr: int):
     """All instances of the theory's families at base addresses up to max_addr."""
     for family in _theory_entry(theory_name)[1]:
         build = _FAMILY_BUILDERS[family]
@@ -347,7 +347,7 @@ def relation_instances(n: int, theory_name: str, max_addr: int = 2):
                 yield from build(n, base)
 
 
-def check_axioms(n: int, theory_name: str, max_addr: int = 2):
+def check_axioms(n: int, theory_name: str, max_addr: int):
     """Decide every relation instance; returns (all passed, report lines).
 
     Each line carries family, n, indices, base address, and PASS/FAIL; a
@@ -483,7 +483,7 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
     return sides[m1], sides[m2], inst.family
 
 
-def check_coherence(n: int, max_nodes: int = 4):
+def check_coherence(n: int, max_nodes: int):
     """Fork closure over all terms with up to max_nodes internal nodes;
     returns (all passed, report lines).  A line reads PASS when every fork
     reachable from the term closes and the term's positive paths end at its
@@ -511,11 +511,11 @@ def check_coherence(n: int, max_nodes: int = 4):
                 end = apply_word_to_term(steps[m1], w1, theory)
                 ok = (
                     ok
-                    and family in ("functoriality", "naturality") + THEORIES["c"][1]
+                    and family in ("functoriality", "naturality") + THEORIES[theory.name][1]
                     and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
                     and end is not None
                     and end == apply_word_to_term(steps[m2], w2, theory)
-                    and words_equal((m1,) + w1, (m2,) + w2, n, "c")
+                    and words_equal((m1,) + w1, (m2,) + w2, n, theory.name)
                 )
             for u in steps.values():  # an undecided successor fails t
                 passed, count = decided.get(u, (False, 0))
@@ -536,11 +536,6 @@ def check_coherence(n: int, max_nodes: int = 4):
 # Induced transpositions
 
 
-def twist_diagram(n: int, i: int) -> TreeDiagram:
-    """The diagram of the twist s<i> applied at the root of a flat tuple."""
-    return eval_diagram((S(i),), n, "sc")
-
-
 def check_moore(n: int):
     """Verify the symmetric-group presentation on induced transpositions.
 
@@ -558,7 +553,7 @@ def check_moore(n: int):
     checks = [(label, words_equal(word, (), n, "sc")) for label, word in relations]
     if n <= 5:
         one = identity_diagram(n)
-        gens = [twist_diagram(n, i) for i in range(1, n)]
+        gens = [eval_diagram((S(i),), n, "sc") for i in range(1, n)]
         closure = {one}
         frontier = [one]
         while frontier:

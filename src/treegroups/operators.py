@@ -259,11 +259,9 @@ def catalan_theory(n: int) -> Theory:
 
 
 def symmetric_catalan_theory(n: int) -> Theory:
-    sig = catalan_signature(n)
-    rules = tuple(regroup_rule(n, i) for i in range(1, n)) + tuple(
-        swap_rule(n, i) for i in range(1, n)
-    )
-    return Theory("sc", sig, rules, n)
+    base = catalan_theory(n)
+    swaps = tuple(swap_rule(n, i) for i in range(1, n))
+    return Theory("sc", base.signature, base.rules + swaps, n)
 
 
 # ---------------------------------------------------------------------------

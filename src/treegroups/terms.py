@@ -197,14 +197,9 @@ def replace(t: Term, address: Address, s: Term) -> Term:
     return App(t.symbol, tuple(kids))
 
 
-def is_prefix(a: Address, b: Address) -> bool:
-    a, b = address_indices(a), address_indices(b)
-    return len(a) <= len(b) and b[: len(a)] == a
-
-
 def orthogonal(a: Address, b: Address) -> bool:
     """True iff neither address is a prefix of the other."""
-    return not is_prefix(a, b) and not is_prefix(b, a)
+    return any(x != y for x, y in zip(address_indices(a), address_indices(b)))
 
 
 def subterms(t: Term):
@@ -296,11 +291,6 @@ def lmb(labels, n: int) -> Term:
     return node
 
 
-def term_length(t: Term) -> int:
-    """Number of leaves of t."""
-    return len(underlying_list(t))
-
-
 def rank(t: Term) -> int:
     """Termination measure for left-comb normalization.
 
@@ -308,17 +298,26 @@ def rank(t: Term) -> int:
     node with children t_1..t_n the contribution is
     sum_{i=2}^{n} (i-1) * length(t_i) - n(n-1)/2
     = sum_{i=2}^{n} (i-1) * (length(t_i) - 1).
+    Summed leaf by leaf instead, in one walk: each leaf adds the 0-based
+    child positions along its path, and each node with k children
+    subtracts k(k-1)/2.
     """
-    return sum(
-        i * (term_length(c) - 1)
-        for _, u in subterms(t)
-        if isinstance(u, App)
-        for i, c in enumerate(u.children)
-    )
+    total = 0
+    stack = [(t, 0)]  # a subterm and the positions summed along its path
+    while stack:
+        u, weight = stack.pop()
+        if isinstance(u, Var):
+            total += weight
+        else:
+            k = len(u.children)
+            total -= k * (k - 1) // 2
+            stack.extend(zip(u.children, range(weight, weight + k)))
+    return total
 
 
-def apply_assoc(t: Term, i: int, address: Address) -> Term:
-    """Apply the forward regrouping rule with index i at `address`."""
+def _assoc_site(t: Term, i: int, address: Address) -> tuple:
+    """The node at `address` and its nest, child i+1, where rule a<i>
+    applies; AddressError or TermError where it does not."""
     node = subterm(t, address)
     if not isinstance(node, App):
         raise AddressError(f"no application node at {address}")
@@ -328,6 +327,12 @@ def apply_assoc(t: Term, i: int, address: Address) -> Term:
     nest = node.children[i]
     if not isinstance(nest, App) or len(nest.children) != n:
         raise TermError(f"rule {i} does not apply at {address}")
+    return node, nest
+
+
+def apply_assoc(t: Term, i: int, address: Address) -> Term:
+    """Apply the forward regrouping rule with index i at `address`."""
+    node, nest = _assoc_site(t, i, address)
     c, d = node.children, nest.children
     grouped = App(node.symbol, (c[i - 1],) + d[:-1])
     new = App(node.symbol, c[: i - 1] + (grouped, d[-1]) + c[i + 1 :])
@@ -342,9 +347,8 @@ def step_rank_drop(t: Term, i: int, address: Address) -> int:
     (n-1) times that child's length.  Always positive, so every forward
     step makes progress.
     """
-    node = subterm(t, address)
-    nest = node.children[i]
-    return (len(nest.children) - 1) * term_length(nest.children[-1])
+    nest = _assoc_site(t, i, address)[1]
+    return (len(nest.children) - 1) * len(underlying_list(nest.children[-1]))
 
 
 def normalize_to_lmb(t: Term, n: int):

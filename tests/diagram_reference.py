@@ -14,7 +14,7 @@ factors check the product against a different route.
 the twist diagrams; `coherence.check_moore` decides them as words instead.
 """
 
-from treegroups.coherence import twist_diagram
+from treegroups.coherence import S, eval_diagram
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -117,7 +117,7 @@ def moore_relation_lines(n: int) -> list:
     """The relation lines of `check_moore(n)`, each relation a product of
     twist diagrams compared with the identity."""
     one = identity_diagram(n)
-    gens = {i: twist_diagram(n, i) for i in range(1, n)}
+    gens = {i: eval_diagram((S(i),), n, "sc") for i in range(1, n)}
     checks = []  # (label, ok)
     for i in range(1, n):
         checks.append((f"T{i}^2", multiply(gens[i], gens[i]) == one))

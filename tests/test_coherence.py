@@ -62,7 +62,6 @@ from treegroups.coherence import (
     substitute_once,
     theory_for,
     three_cycle,
-    twist_diagram,
     word_operator,
     words_equal,
 )
@@ -710,7 +709,7 @@ def test_dual_hexagon_derivation():
 
 
 def test_twist_diagram_and_moore():
-    assert twist_diagram(2, 1).perm == (2, 1)
+    assert eval_diagram((S(1),), 2, "sc").perm == (2, 1)
     for n in (2, 3, 4):
         ok, lines = check_moore(n)
         assert ok
@@ -736,3 +735,12 @@ def test_theory_rule_refuses_a_name_the_theory_lacks():
     assert sc2.rule("s1") is sc2.rules[1] and sc2.rule("a1") is sc2.rules[0]
     assert hash(theory_for("c", 3)) == hash(catalan_theory(3))
     assert theory_for("c", 3) == catalan_theory(3) != symmetric_catalan_theory(3)
+
+
+def test_apply_word_to_term_gives_none_where_a_letter_does_not_apply():
+    c2 = catalan_theory(2)
+    flat = cat(v("a"), v("b"))
+    assert apply_word_to_term(flat, (A(1),), c2) is None
+    t = cat(v("a"), cat(v("b"), v("c")))
+    assert apply_word_to_term(t, (A(1),), c2) == cat(cat(v("a"), v("b")), v("c"))
+    assert apply_word_to_term(t, (A(1), A(1)), c2) is None  # the second does not apply

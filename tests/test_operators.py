@@ -27,7 +27,9 @@ from treegroups.operators import (
     eval_word,
     identity_operator,
     invert,
+    regroup_rule,
     rewrite_at,
+    swap_rule,
     symmetric_catalan_theory,
     translated_seed,
 )
@@ -298,3 +300,15 @@ def test_seed_reduce():
 def test_canonical_rejects_unbalanced():
     with pytest.raises(TermError):
         canonical(Seed(v("x"), cat(v("x"), v("y"))))
+
+
+def test_rule_builders_refuse_bad_indices_and_unbalanced_sides():
+    cases = [
+        (lambda: regroup_rule(2, 2), "regroup index 2 out of range for arity 2"),
+        (lambda: swap_rule(3, 0), "swap index 0 out of range for arity 3"),
+        (lambda: Rule("r", v("x"), cat(v("x"), v("y"))), "rule 'r' is not balanced"),
+    ]
+    for call, message in cases:
+        with pytest.raises(TermError) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (TermError, message)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import random
 
 import pytest
@@ -32,12 +33,12 @@ from treegroups.terms import (
     subterm,
     subterms,
     support,
-    term_length,
     underlying_list,
     variables_in_order,
 )
 
 import comb_reference
+import rank_reference
 from seed_reference import leaf_addresses
 from square_reference import assoc_redexes, variable_addresses
 from subst_reference import compose_subst
@@ -197,7 +198,7 @@ def test_lmb_of_a_long_word():
 
 
 def test_length_and_rank():
-    assert term_length(v("x")) == 1
+    assert len(underlying_list(v("x"))) == 1
     assert rank(v("x")) == 0
     assert rank(lmb([f"x{i}" for i in range(1, 8)], 3)) == 0
     assert rank(cat(v("x"), cat(v("y"), v("z")))) == 1
@@ -231,6 +232,60 @@ def test_rank_equals_total_step_drop():
                     total += step_rank_drop(current, i, addr)
                     current = apply_assoc(current, i, addr)
                 assert total == rank(t)
+
+
+def _random_term(rng, nodes: int, labels) -> Term:
+    """A term with `nodes` application nodes of arities 2 to 4, its leaves
+    named from `labels`."""
+    if nodes == 0:
+        return Var(next(labels))
+    sizes = [0] * rng.randint(2, 4)
+    for _ in range(nodes - 1):
+        sizes[rng.randrange(len(sizes))] += 1
+    return cat(*[_random_term(rng, size, labels) for size in sizes])
+
+
+def test_rank_agrees_with_the_reference():
+    # the leaf-by-leaf walk against the node formula, on every shape of
+    # these sizes and on random terms of mixed arity
+    count = 0
+    for n, kmax in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        for k in range(kmax + 1):
+            for t in enumerate_terms(n, k):
+                assert rank(t) == rank_reference.rank(t)
+                count += 1
+    assert count == 2611
+    rng = random.Random(24)
+    for _ in range(300):
+        labels = (f"x{j}" for j in itertools.count(1))
+        t = _random_term(rng, rng.randint(0, 40), labels)
+        assert rank(t) == rank_reference.rank(t)
+    assert rank(T_FG) == rank_reference.rank(T_FG) == 2
+
+
+def test_rank_of_a_long_right_comb():
+    # one walk: 100 001 leaves take well under a second, where walking each
+    # child's leaves again would take about an hour
+    m = 100_001
+    comb = v(f"x{m}")
+    for j in range(m - 1, 0, -1):
+        comb = cat(v(f"x{j}"), comb)
+    assert rank(comb) == (m - 1) * (m - 2) // 2
+
+
+def test_step_rank_drop_refuses_what_apply_assoc_refuses():
+    t = cat(v("x"), cat(v("y"), v("z")))
+    expected = {
+        (5, ()): (TermError, "rule index 5 out of range for arity 2"),
+        (1, (9,)): (AddressError, "no application node at (9,)"),
+        (1, (1,)): (AddressError, "no application node at (1,)"),
+        (1, (2,)): (TermError, "rule 1 does not apply at (2,)"),
+    }
+    for (i, address), (error, message) in expected.items():
+        for step in (apply_assoc, step_rank_drop):
+            with pytest.raises(TermError) as caught:
+                step(t, i, address)
+            assert (type(caught.value), str(caught.value)) == (error, message)
 
 
 def test_normalize_examples():
@@ -365,7 +420,7 @@ def test_subterms_walk_in_address_order():
         assert all(a < b for a, b in zip(addresses, addresses[1:]))
         assert all(u == subterm(t, a) for a, u in pairs)
         leaves = [a for a, u in pairs if isinstance(u, Var)]
-        assert len(leaves) == term_length(t)
+        assert len(leaves) == len(underlying_list(t))
         assert set(addresses) == {a[:i] for a in leaves for i in range(len(a) + 1)}
         redexes = assoc_redexes(t)
         assert redexes == sorted(redexes, key=lambda p: (p[1], p[0]))
@@ -378,7 +433,7 @@ def test_leaf_word_queries_on_a_deep_comb():
     assert underlying_list(comb) == names
     assert variables_in_order(comb) == names
     assert support(comb) == frozenset(names)
-    assert term_length(comb) == 3000
+    assert len(underlying_list(comb)) == 3000
     assert is_linear_pair(comb, comb)
 
 
@@ -433,3 +488,21 @@ def test_signature_validation():
         Signature([("F", 2), ("F", 3)])
     with pytest.raises(TermError):
         catalan_signature(1)
+
+
+def test_error_paths_of_shapes_signatures_and_parsing():
+    # each refusal with its type and message
+    cases = [
+        (lambda: enumerate_terms(1, 2), TermError, "tuple symbol arity must be at least 2"),
+        (lambda: enumerate_terms(2, -1), TermError, "k must be nonnegative"),
+        (lambda: Signature([]), TermError, "signature needs at least one symbol"),
+        (lambda: Signature([("1F", 2)]), TermError, "bad symbol name: '1F'"),
+        (lambda: FG.arity("H"), TermError, "unknown symbol: 'H'"),
+        (lambda: parse_term("", catalan_signature(2)), ParseError, "unexpected end of term text"),
+        (lambda: parse_term("F(x,G(x,y,z)", FG), ParseError, "unexpected end of term text"),
+        (lambda: parse_term("F(x y)", FG), ParseError, "expected ')', found 'y'"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(TermError) as caught:
+            call()
+        assert (type(caught.value), str(caught.value)) == (error, message)

@@ -142,3 +142,11 @@ def test_is_composable():
     f_xy = App("F", (v("x"), v("y")))
     g_yx = App("G", (v("y"), v("x")))
     assert not is_composable([(f_xy, g_yx)])
+
+
+def test_match_refuses_a_head_clash():
+    # same arity, different symbols, at the root and below it
+    assert match(App("F", (v("x"), v("y"))), App("H", (v("a"), v("b")))) is None
+    inner = App("F", (v("x"), App("G", (v("y"), v("z")))))
+    assert match(inner, App("F", (v("a"), App("H", (v("b"), v("c")))))) is None
+    assert match(inner, App("F", (v("a"), App("G", (v("b"), v("c")))))) is not None
