@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import re
 import sys
 
@@ -24,11 +25,11 @@ from .terms import (
     format_term,
     generalized_catalan,
     enumerate_terms,
-    normalize_to_lmb,
+    lmb,
+    normal_form_steps,
     parse_term,
     rank,
-    step_rank_drop,
-    apply_assoc,
+    underlying_list,
 )
 from .operators import EMPTY
 from .coherence import (
@@ -170,15 +171,12 @@ def _dispatch(args, second_word) -> int:
         if args.command == "rank":
             print(rank(term))
             return 0
-        normal, steps = normalize_to_lmb(term, args.n)
-        ranks = [rank(term)]
-        current = term
-        for i, address in steps:
-            ranks.append(ranks[-1] - step_rank_drop(current, i, address))
-            current = apply_assoc(current, i, address)
-        print(format_term(normal, signature))
+        steps = normal_form_steps(term, args.n)
+        # the normal form has rank 0, so the ranks are the drops summed from the end
+        ranks = itertools.accumulate([drop for *_, drop in reversed(steps)], initial=0)
+        print(format_term(lmb(underlying_list(term), args.n), signature))
         print(f"steps {len(steps)}")
-        print("ranks " + " ".join(str(r) for r in ranks))
+        print("ranks " + " ".join(str(r) for r in reversed(list(ranks))))
         return 0
 
     if args.group == "trees":

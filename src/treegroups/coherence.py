@@ -193,8 +193,9 @@ def eval_diagram(word, n: int, theory_name: str) -> TreeDiagram:
     needs nodes.  Freezing the pair at the end reduces it; the result equals
     `to_diagram(word_operator(word, theory), n)`.
     """
+    theory = theory_for(theory_name, n)  # first, so a bad arity reads as in `words_equal`
     pair = TreePair(identity_diagram(n))
-    _act_word(pair, word, theory_for(theory_name, n))
+    _act_word(pair, word, theory)
     return pair.freeze()
 
 

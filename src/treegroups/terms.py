@@ -12,11 +12,11 @@ exhaustive shape enumeration checked against the generalized Catalan numbers.
 Two walkers visit a term, each with an explicit stack rather than recursion:
 `subterms` yields every (address, subterm) pair in pre-order, and
 `underlying_list` builds the leaf word.  The address and variable queries
-below are read off one or the other.  The walks that build terms or text
-recurse, at one Python frame per level: each is a plain loop in a module
-function, `apply_subst`, `format_term` and `_label_shape` handle a leaf
-child in the parent's loop, and none is a closure or calls itself through
-`map` or a generator.
+below are read off one or the other.  Except `normal_form_steps`, one loop
+down the spine, the walks that build terms or text recurse, at one Python
+frame per level: each is a plain loop in a module function, `apply_subst`,
+`format_term` and `_label_shape` handle a leaf child in the parent's loop,
+and none is a closure or calls itself through `map` or a generator.
 """
 
 from __future__ import annotations
@@ -315,9 +315,8 @@ def rank(t: Term) -> int:
     return total
 
 
-def _assoc_site(t: Term, i: int, address: Address) -> tuple:
-    """The node at `address` and its nest, child i+1, where rule a<i>
-    applies; AddressError or TermError where it does not."""
+def apply_assoc(t: Term, i: int, address: Address) -> Term:
+    """Apply the forward regrouping rule with index i at `address`."""
     node = subterm(t, address)
     if not isinstance(node, App):
         raise AddressError(f"no application node at {address}")
@@ -327,57 +326,54 @@ def _assoc_site(t: Term, i: int, address: Address) -> tuple:
     nest = node.children[i]
     if not isinstance(nest, App) or len(nest.children) != n:
         raise TermError(f"rule {i} does not apply at {address}")
-    return node, nest
-
-
-def apply_assoc(t: Term, i: int, address: Address) -> Term:
-    """Apply the forward regrouping rule with index i at `address`."""
-    node, nest = _assoc_site(t, i, address)
     c, d = node.children, nest.children
     grouped = App(node.symbol, (c[i - 1],) + d[:-1])
     new = App(node.symbol, c[: i - 1] + (grouped, d[-1]) + c[i + 1 :])
     return replace(t, address, new)
 
 
-def step_rank_drop(t: Term, i: int, address: Address) -> int:
-    """Exact rank decrease of applying rule i at `address` in t.
+def normal_form_steps(t: Term, n: int) -> list:
+    """The steps that rewrite t, whose nodes all have n children, to the left
+    comb on its leaf word, in order: (rule index, address, rank drop) triples.
 
-    The regrouping releases the nest's last child to the top level; working
-    the node formula through the rearrangement, everything cancels except
-    (n-1) times that child's length.  Always positive, so every forward
-    step makes progress.
+    Down the first-child spine, each node takes rule i while child i+1 is
+    its last application past the first child.  Rule i at (c_1, ..., c_n)
+    with c_{i+1} = (d_1, ..., d_n) releases d_n to position i+1: each leaf
+    of d_n, and no other, loses n-1 from its position sum (see `rank`), so
+    the rank drops by (n-1) * length(d_n).  Lengths come from one walk of t,
+    so d_n must be a subterm of t.  Weigh a node by the sum of (position - 1)
+    on its path from the spine node.  No step raises a weight: (i, ...)
+    becomes (i, 1, ...), (i+1, q, ...) becomes (i, q+1, ...) for q < n,
+    (i+1, n, ...) becomes (i+1, ...), and moving down drops a leading 1.  A
+    step builds (c_i, d_1, ..., d_{n-1}) at (i), of weight at most n-2, but
+    d_n sits at (i+1, n), of weight n or more, so no step built d_n.
     """
-    nest = _assoc_site(t, i, address)[1]
-    return (len(nest.children) - 1) * len(underlying_list(nest.children[-1]))
+    order = [t]
+    for u in order:  # read as it grows: every node comes after its parent
+        if isinstance(u, App):
+            if len(u.children) != n:
+                raise TermError(f"node of arity {len(u.children)} in a term of arity {n}")
+            order.extend(u.children)
+    lengths = {}  # a miss, which the weights above rule out, raises KeyError
+    for u in reversed(order):
+        lengths[id(u)] = sum([lengths[id(c)] for c in u.children]) if isinstance(u, App) else 1
+    steps: list = []
+    u, depth = t, 0
+    while isinstance(u, App):
+        while i := max([k for k in range(1, n) if isinstance(u.children[k], App)], default=0):
+            c, d = u.children, u.children[i].children
+            steps.append((i, (1,) * depth, (n - 1) * lengths[id(d[-1])]))
+            grouped = App(u.symbol, (c[i - 1],) + d[:-1])
+            u = App(u.symbol, c[: i - 1] + (grouped, d[-1]) + c[i + 1 :])
+        u, depth = u.children[0], depth + 1
+    return steps
 
 
 def normalize_to_lmb(t: Term, n: int):
-    """Rewrite t to the left comb on its leaf word.
-
-    Returns (normal form, steps), where steps is the list of (rule index,
-    address) pairs applied in order.  The step choice follows the greatest
-    non-variable child position, then recurses into the first child.
-    """
-
-    steps: list = []
-    return _normalize(t, (), n, steps), steps
-
-
-def _normalize(u: Term, base: tuple, n: int, steps: list) -> Term:
-    """`normalize_to_lmb` of the subterm u at address `base`, its steps
-    appended to `steps`."""
-    if isinstance(u, Var):
-        return u
-    while True:
-        kids = u.children
-        pos = [k for k in range(2, n + 1) if isinstance(kids[k - 1], App)]
-        if not pos:
-            break
-        i = max(pos) - 1
-        steps.append((i, base))
-        u = apply_assoc(u, i, ())
-    first = _normalize(u.children[0], base + (1,), n, steps)
-    return App(u.symbol, (first,) + u.children[1:])
+    """Rewrite t to the left comb on its leaf word: (normal form, steps),
+    the (rule index, address) pairs of `normal_form_steps` in order."""
+    steps = [(i, address) for i, address, _ in normal_form_steps(t, n)]
+    return lmb(underlying_list(t), n), steps
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from treegroups.terms import (
     generalized_catalan,
     lmb,
     rank,
-    step_rank_drop,
     underlying_list,
 )
 from treegroups.operators import (
@@ -55,6 +54,7 @@ from treegroups.coherence import (
 
 from collapse_reference import all_reduction_endpoints
 from diagram_reference import expand, leaf_count, random_reduced_diagram
+from normalize_reference import step_rank_drop
 from seed_reference import seed_reduce
 from square_reference import assoc_redexes
 

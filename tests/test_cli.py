@@ -10,9 +10,10 @@ import pytest
 import treegroups
 from treegroups import cli, coherence
 from treegroups.cli import run
-from treegroups.terms import catalan_signature, format_term, parse_term
+from treegroups.terms import catalan_signature, enumerate_terms, format_term, parse_term
 
 import cli_reference
+import normalize_reference
 
 
 def invoke(capsys, *argv):
@@ -34,6 +35,40 @@ def test_term_normalize_variable(capsys):
     code, out, _ = invoke(capsys, "term", "normalize", "--n", "3", "x")
     assert code == 0
     assert out.splitlines() == ["x", "steps 0", "ranks 0"]
+
+
+def test_term_normalize_agrees_with_the_reference(capsys):
+    # all 2 611 shapes of these sizes: the printed normal form, step count
+    # and rank trace are those of replaying each step and measuring its drop
+    count = 0
+    for n, kmax in ((2, 8), (3, 5), (4, 4), (5, 3)):
+        signature = catalan_signature(n)
+        for k in range(kmax + 1):
+            for t in enumerate_terms(n, k):
+                normal, steps, ranks = normalize_reference.trace(t, n)
+                code, out, err = invoke(
+                    capsys, "term", "normalize", "--n", str(n), format_term(t, signature)
+                )
+                assert (code, err) == (0, "")
+                assert out.splitlines() == [
+                    format_term(normal, signature),
+                    f"steps {len(steps)}",
+                    "ranks " + " ".join(map(str, ranks)),
+                ]
+                count += 1
+    assert count == 2611
+
+
+def test_term_normalize_a_long_right_comb_is_pinned(capsys):
+    # 900 leaves, 898 steps: the normal form and the whole rank trace
+    term = " ".join(f"(x{i}" for i in range(1, 900)) + " x900" + ")" * 899
+    code, out, err = invoke(capsys, "term", "normalize", "--n", "2", term)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1] == "steps 898" and lines[2].startswith("ranks 403651 402753 ")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f2aa78795024a94e1a7509e95011485c3a1b31d83befef05b5f0c341893eec86"
+    )
 
 
 def test_term_rank(capsys):
@@ -378,6 +413,19 @@ def test_check_suites_refuse_to_check_nothing(capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
+def test_word_commands_refuse_arity_one_alike(capsys):
+    # each looks the theory up before it builds anything, so each names the
+    # tuple symbol's arity; word eval and export dot once named the diagram's
+    for argv in (
+        ("word", "eval", "--n", "1", "--theory", "c", "a1[-]"),
+        ("export", "dot", "--n", "1", "--theory", "sc", "a1[-]"),
+        ("word", "eq", "--n", "1", "--theory", "c", "a1[-]", "--", "a1[-]"),
+        ("op", "compose", "--n", "1", "--theory", "sc", "a1[-]"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: tuple symbol arity must be at least 2\n")
 
 
 def test_check_axioms_reports_a_failing_instance(monkeypatch, capsys):

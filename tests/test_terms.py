@@ -23,13 +23,13 @@ from treegroups.terms import (
     is_balanced,
     is_linear_pair,
     lmb,
+    normal_form_steps,
     normalize_to_lmb,
     orthogonal,
     parse_address,
     parse_term,
     rank,
     replace,
-    step_rank_drop,
     subterm,
     subterms,
     support,
@@ -38,7 +38,9 @@ from treegroups.terms import (
 )
 
 import comb_reference
+import normalize_reference
 import rank_reference
+from normalize_reference import step_rank_drop
 from seed_reference import leaf_addresses
 from square_reference import assoc_redexes, variable_addresses
 from subst_reference import compose_subst
@@ -320,6 +322,71 @@ def test_normalize_properties():
                     assert rank(current) == r - drop
                     r -= drop
                 assert current == normal
+
+
+def _random_nary_term(rng, nodes: int, n: int, labels) -> Term:
+    """A term with `nodes` application nodes of arity n, its leaves named
+    from `labels`."""
+    if nodes == 0:
+        return Var(next(labels))
+    sizes = [0] * n
+    for _ in range(nodes - 1):
+        sizes[rng.randrange(n)] += 1
+    return cat(*[_random_nary_term(rng, size, n, labels) for size in sizes])
+
+
+def test_normal_form_steps_agree_with_the_reference():
+    # the one loop against recursing down the spine and replaying each step
+    # with apply_assoc, on every shape of these sizes and on random terms
+    cases = [
+        (t, n)
+        for n, kmax in ((2, 8), (3, 5), (4, 4), (5, 3))
+        for k in range(kmax + 1)
+        for t in enumerate_terms(n, k)
+    ]
+    assert len(cases) == 2611
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        labels = (f"x{j}" for j in itertools.count(1))
+        cases.append((_random_nary_term(rng, rng.randint(0, 60), n, labels), n))
+    for t, n in cases:
+        normal, steps, ranks = normalize_reference.trace(t, n)
+        triples = normal_form_steps(t, n)
+        assert [(i, address) for i, address, _ in triples] == steps
+        drops = [drop for *_, drop in triples]
+        assert ranks == [ranks[0] - sum(drops[:j]) for j in range(len(drops) + 1)]
+        assert ranks[-1] == 0
+        assert normalize_to_lmb(t, n) == (normal, steps)
+
+
+def test_normalize_refuses_a_node_of_another_arity():
+    # a binary node under n = 3 once raised a bare IndexError, and a
+    # ternary node under n = 2 was left in the "normal form"
+    x, y, z, w, u = map(v, "xyzwu")
+    for t, n, arity in ((cat(x, y), 3, 2), (cat(x, cat(y, z, w), u), 2, 3)):
+        for normalize in (normalize_to_lmb, normal_form_steps):
+            with pytest.raises(TermError, match=f"node of arity {arity} in a term of arity {n}"):
+                normalize(t, n)
+
+
+def test_normalize_a_deep_comb():
+    # one loop and no recursion: combs far deeper than the interpreter's
+    # recursion limit normalize, and the right comb's drops sum to its rank
+    m = 20_001
+    right, left = v(f"x{m}"), v("x1")
+    for j in range(m - 1, 0, -1):
+        right = cat(v(f"x{j}"), right)
+    for j in range(2, m + 1):
+        left = cat(left, v(f"x{j}"))
+    normal, steps = normalize_to_lmb(right, 2)
+    triples = normal_form_steps(right, 2)
+    assert len(steps) == len(triples) == m - 2
+    assert sum(drop for *_, drop in triples) == (m - 1) * (m - 2) // 2
+    assert normal == lmb(underlying_list(right), 2) == left
+    normal, steps = normalize_to_lmb(left, 2)
+    assert steps == [] and normal_form_steps(left, 2) == []
+    assert normal == lmb(underlying_list(left), 2)
 
 
 def test_normalize_strategy_independence():
