@@ -8,7 +8,10 @@ pair and reduces the pair once at the end.  `words_equal` reduces nothing:
 w1 and then the inverse of w2 act on one pair, and the words are equal in
 the group exactly when that pair is trivial.  `word_operator` gives
 the same element through seed composition, the package's semantics, which
-serves operator composition and the tests as the reference.
+serves operator composition and the tests as the reference.  A letter is
+checked against the arity and the theory's name alone, so the word and
+relation layers build no rules; `theory_for` builds them for the readers of
+rules: `word_operator`, `positive_steps` and `fill_square`.
 
 The text format is whitespace-separated tokens `a<i>[addr]` / `s<i>[addr]`,
 with capital `A`/`S` for inverses and `addr` a dot-separated child-index
@@ -143,28 +146,28 @@ def parse_word(text: str) -> GeneratorWord:
 
 @lru_cache(maxsize=32)
 def theory_for(name: str, n: int) -> Theory:
-    """The theory named `name` at arity n, built once per (name, n)."""
-    return _theory_entry(name)[0](n)
+    """The theory named `name` at arity n, built once per (name, n), for
+    the callers that read its rules; letters are checked without it."""
+    return _theory_entry(name, n)[0](n)
 
 
-def check_letter(g: Generator, theory: Theory) -> None:
-    """Raise TermError unless the letter acts in the theory: index in
-    1..n-1, every address step in 1..n, and twists only when symmetric.
-    A generic theory has no arity, so no letter acts in it."""
-    n = theory.n
+def check_letter(g: Generator, n: int, theory_name: str) -> None:
+    """Raise TermError unless the letter acts at arity n in the theory named
+    `theory_name`: index in 1..n-1, every address step in 1..n, and twists
+    only in "sc".  A generic theory has no arity (n None): no letter acts."""
     if n is None:
-        raise TermError(f"theory {theory.name!r} has no arity for letters to act at")
+        raise TermError(f"theory {theory_name!r} has no arity for letters to act at")
     if not 1 <= g.index <= n - 1:
         raise TermError(f"generator index {g.index} out of range for n={n}")
     for step in g.address:
         if not 1 <= step <= n:
             raise TermError(f"generator address {g.address} out of range for n={n}")
-    if g.kind == "s" and theory.name != "sc":
+    if g.kind == "s" and theory_name != "sc":
         raise TermError("twist generators need the symmetric theory")
 
 
 def generator_rule(g: Generator, theory: Theory) -> TranslatedRule:
-    check_letter(g, theory)
+    check_letter(g, theory.n, theory.name)
     return TranslatedRule(theory.rule(f"{g.kind}{g.index}"), g.address, g.sign > 0)
 
 
@@ -172,12 +175,12 @@ def word_operator(word, theory: Theory) -> Operator:
     return eval_word([generator_rule(g, theory) for g in word], theory.signature)
 
 
-def _act_word(pair: TreePair, word, theory: Theory, sign: int = 1) -> None:
-    """Check every letter of `word` in order, then let the word act on
-    `pair`; with sign -1 its inverse acts instead: the letters in reverse,
-    each with its sign flipped (a twist is its own inverse)."""
+def _act_word(pair: TreePair, word, theory_name: str, sign: int = 1) -> None:
+    """Check every letter of `word` at the pair's arity, then let the word
+    act on `pair`; with sign -1 its inverse acts instead: the letters in
+    reverse, each with its sign flipped (a twist is its own inverse)."""
     for g in word:
-        check_letter(g, theory)
+        check_letter(g, pair.n, theory_name)
     for g in word if sign > 0 else reversed(word):
         if g.kind == "s":
             pair.swap(g.address, g.index)
@@ -191,11 +194,11 @@ def eval_diagram(word, n: int, theory_name: str) -> TreeDiagram:
     Each letter acts on a `TreePair` that starts as the identity, rewriting
     one node of its range in place and careting leaves where the letter
     needs nodes.  Freezing the pair at the end reduces it; the result equals
-    `to_diagram(word_operator(word, theory), n)`.
+    `to_diagram(word_operator(word, theory_for(theory_name, n)), n)`.
     """
-    theory = theory_for(theory_name, n)  # first, so a bad arity reads as in `words_equal`
+    _theory_entry(theory_name, n)  # first, so a bad arity reads as in `words_equal`
     pair = TreePair(identity_diagram(n))
-    _act_word(pair, word, theory)
+    _act_word(pair, word, theory_name)
     return pair.freeze()
 
 
@@ -204,10 +207,10 @@ def words_equal(w1, w2, n: int, theory_name: str) -> bool:
     identity pair.  A pair is the identity exactly when it expands (leaf,
     leaf, id), and every such expansion is (T, T, id), so no reduction is
     needed: `TreePair.is_trivial` walks the pair once."""
-    theory = theory_for(theory_name, n)
+    _theory_entry(theory_name, n)
     pair = TreePair(identity_diagram(n))
-    _act_word(pair, w1, theory)
-    _act_word(pair, w2, theory, -1)
+    _act_word(pair, w1, theory_name)
+    _act_word(pair, w2, theory_name, -1)
     return pair.is_trivial()
 
 
@@ -331,17 +334,19 @@ THEORIES = {
 }
 
 
-def _theory_entry(name: str) -> tuple:
-    """`THEORIES[name]`, or TermError for a name it does not hold."""
+def _theory_entry(name: str, n: int) -> tuple:
+    """`THEORIES[name]`, or TermError for an unknown name or an arity n < 2."""
     if name not in THEORIES:
         expected = " or ".join(map(repr, THEORIES))
         raise TermError(f"unknown theory {name!r} (expected {expected})")
+    if n < 2:
+        raise TermError("tuple symbol arity must be at least 2")
     return THEORIES[name]
 
 
 def relation_instances(n: int, theory_name: str, max_addr: int):
     """All instances of the theory's families at base addresses up to max_addr."""
-    for family in _theory_entry(theory_name)[1]:
+    for family in _theory_entry(theory_name, n)[1]:
         build = _FAMILY_BUILDERS[family]
         for length in range(max_addr + 1):
             for base in itertools.product(range(1, n + 1), repeat=length):
@@ -474,7 +479,7 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
         else:
             for inst in itertools.chain.from_iterable(
                 _FAMILY_BUILDERS[family](theory.n, base)
-                for family in _theory_entry(theory.name)[1]
+                for family in _theory_entry(theory.name, theory.n)[1]
             ):
                 if inst.lhs and inst.rhs and {inst.lhs[0], inst.rhs[0]} == {m1, m2}:
                     break

@@ -441,14 +441,23 @@ def enumerate_terms(n: int, k: int) -> list:
 
 
 def format_term(t: Term, signature: Signature) -> str:
-    if isinstance(t, Var):
-        return t.name
-    kids = []
-    for kid in t.children:
-        kids.append(kid.name if isinstance(kid, Var) else format_term(kid, signature))
+    """The text form of t.  The first-child spine is read in one loop, so a
+    left comb of any depth prints; only the other children recurse."""
+    spine = []
+    while isinstance(t, App):
+        spine.append(t)
+        t = t.children[0]
     if signature.single_symbol is not None:
-        return f"({' '.join(kids)})"
-    return f"{t.symbol}({','.join(kids)})"
+        sep, parts = " ", ["(" * len(spine), t.name]
+    else:
+        sep, parts = ",", [f"{node.symbol}(" for node in spine]
+        parts.append(t.name)
+    for node in reversed(spine):
+        for kid in node.children[1:]:
+            parts.append(sep)
+            parts.append(kid.name if isinstance(kid, Var) else format_term(kid, signature))
+        parts.append(")")
+    return "".join(parts)
 
 
 def _tokenize(text: str) -> list:

@@ -1,8 +1,12 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,6 +73,19 @@ def test_term_normalize_a_long_right_comb_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "f2aa78795024a94e1a7509e95011485c3a1b31d83befef05b5f0c341893eec86"
     )
+
+
+def test_term_normalize_a_shallow_term_with_a_deep_normal_form(capsys):
+    # balanced terms of 1 024 and 2 048 leaves nest 10 and 11 deep, and
+    # their normal forms are left combs far past the recursion limit
+    for m in (1024, 2048):
+        terms = [f"x{j}" for j in range(1, m + 1)]
+        while len(terms) > 1:
+            terms = [f"({a} {b})" for a, b in zip(terms[::2], terms[1::2])]
+        code, out, err = invoke(capsys, "term", "normalize", "--n", "2", terms[0])
+        assert (code, err) == (0, "")
+        comb = "(" * (m - 1) + "x1" + "".join(f" x{j})" for j in range(2, m + 1))
+        assert out.splitlines()[0] == comb
 
 
 def test_term_rank(capsys):
@@ -426,6 +443,29 @@ def test_word_commands_refuse_arity_one_alike(capsys):
     ):
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (2, "", "error: tuple symbol arity must be at least 2\n")
+
+
+def _run_console(*argv):
+    """The CLI in a fresh process with 1 GiB of address space and 20 s: a
+    word command that built the theory's rules at a large n would run out
+    of either."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "treegroups.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+
+
+def test_word_commands_at_a_large_arity_build_no_rules():
+    proc = _run_console("word", "eq", "--n", "20000", "--theory", "sc", "a1[-]", "--", "a1[-]")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "equal\n", "")
+    proc = _run_console("word", "eval", "--n", "20000", "--theory", "c", "a1[-]")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["n"] == 20000
 
 
 def test_check_axioms_reports_a_failing_instance(monkeypatch, capsys):

@@ -250,6 +250,29 @@ def test_theory_for_is_built_once_per_name_and_arity():
             theory_for("v", 3)
 
 
+def test_word_and_relation_layers_build_no_theory():
+    # letters are checked against the arity and the theory's name, so the
+    # word problem, the axiom suite and Moore's relations build no rules
+    theory_for.cache_clear()
+    for n in (2, 3, 4):
+        for name in ("c", "sc"):
+            word = (A(1), A(n - 1, (n,)), S(1)) if name == "sc" else (A(1), A(n - 1, (n,)))
+            assert words_equal(word, word, n, name)
+            assert eval_diagram(word, n, name).n == n
+            assert check_axioms(n, name, 1)[0]
+        assert check_moore(n)[0]
+    assert theory_for.cache_info().currsize == 0
+
+
+def test_word_layer_refuses_a_bad_arity_or_name_on_empty_words():
+    with pytest.raises(TermError) as caught:
+        words_equal((), (), 1, "c")
+    assert str(caught.value) == "tuple symbol arity must be at least 2"
+    with pytest.raises(TermError) as caught:
+        eval_diagram((), 2, "bogus")
+    assert str(caught.value) == "unknown theory 'bogus' (expected 'c' or 'sc')"
+
+
 def brown_generators(n, depths):
     """Brown's generators of F_{n,1} as diagrams: x_{(n-1)k+j}, for k in
     `depths` and 0 <= j <= n-2, is a_{n-1} a_{n-2} ... a_{j+1}, every letter
@@ -600,7 +623,7 @@ def test_letters_refuse_a_theory_without_an_arity():
     theory = Theory("assoc2", catalan_signature(2), (regroup_rule(2, 1),))
     message = "theory 'assoc2' has no arity for letters to act at"
     with pytest.raises(TermError) as caught:
-        check_letter(A(1), theory)
+        check_letter(A(1), theory.n, theory.name)
     assert str(caught.value) == message
     t = parse_term("(x1 (x2 (x3 x4)))", theory.signature)
     with pytest.raises(TermError) as caught:

@@ -95,7 +95,7 @@ def test_letters_act_on_a_non_identity_pair():
                     d = expand_diagram(d, rng.randint(1, len(d.perm)))
                 word = random_word(rng, n, theory_name, rng.randint(0, 12), max_depth=3)
                 for g in word:
-                    check_letter(g, theory)
+                    check_letter(g, theory.n, theory.name)
                 pair = TreePair(d)
                 act_letters(pair, word)
                 assert pair.freeze() == multiply(d, eval_diagram(word, n, theory_name))

@@ -38,12 +38,14 @@ from treegroups.terms import (
 )
 
 import comb_reference
+import format_reference
 import normalize_reference
 import rank_reference
 from normalize_reference import step_rank_drop
 from seed_reference import leaf_addresses
 from square_reference import assoc_redexes, variable_addresses
 from subst_reference import compose_subst
+from test_seed_path import random_term
 
 
 FG = Signature([("F", 2), ("G", 3)])
@@ -446,6 +448,39 @@ def test_parse_and_format_general():
         parse_term("H(x,y)", FG)
     with pytest.raises(ParseError):
         parse_term("F", FG)
+
+
+def test_format_term_agrees_with_the_reference():
+    # the spine loop against one recursion per node, on every shape of these
+    # sizes and on random single-symbol and multi-symbol terms
+    for n, kmax in ((2, 8), (3, 5), (4, 4)):
+        signature = catalan_signature(n)
+        for k in range(kmax + 1):
+            for t in enumerate_terms(n, k):
+                assert format_term(t, signature) == format_reference.format_term(t, signature)
+    rng = random.Random(26)
+    names = iter(f"x{j}" for j in itertools.count(1))
+    single = catalan_signature(2)
+    symbols = [("F", 2), ("G", 3), ("H", 1)]
+    many = Signature(symbols)
+    for _ in range(300):
+        t = _random_term(rng, rng.randint(0, 30), names)
+        assert format_term(t, single) == format_reference.format_term(t, single)
+        t = random_term(rng, symbols, ["x", "y", "z"], rng.randint(0, 6))
+        assert format_term(t, many) == format_reference.format_term(t, many)
+
+
+def test_format_term_prints_a_deep_left_comb():
+    leaves = [f"x{j}" for j in range(1, 20002)]
+    signature = catalan_signature(2)
+    assert format_term(lmb(leaves, 2), signature) == (
+        "(" * 20000 + "x1" + "".join(f" {x})" for x in leaves[1:])
+    )
+    t = Var("x")
+    for j in range(5000):
+        t = App("F", (t, Var(f"y{j}")))
+    text = format_term(t, Signature([("F", 2), ("G", 3)]))
+    assert text == "F(" * 5000 + "x" + "".join(f",y{j})" for j in range(5000))
 
 
 def test_addresses_text():
