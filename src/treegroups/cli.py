@@ -39,7 +39,6 @@ from .coherence import (
     check_moore,
     eval_diagram,
     parse_word,
-    theory_for,
     word_operator,
     words_equal,
 )
@@ -187,12 +186,11 @@ def _dispatch(args, second_word) -> int:
         return 0 if counted == formula else 1
 
     if args.group == "op":
-        theory = theory_for(args.theory, args.n)
-        op = word_operator(parse_word(" ".join(args.word)), theory)
+        signature = catalan_signature(args.n)  # before the word: --n 1 reads first
+        op = word_operator(parse_word(" ".join(args.word)), args.n, args.theory)
         if op is EMPTY:
             print("empty")
         else:
-            signature = theory.signature
             print(
                 f"{format_term(op.source, signature)} -> "
                 f"{format_term(op.target, signature)}"

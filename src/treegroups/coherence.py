@@ -8,10 +8,10 @@ pair and reduces the pair once at the end.  `words_equal` reduces nothing:
 w1 and then the inverse of w2 act on one pair, and the words are equal in
 the group exactly when that pair is trivial.  `word_operator` gives
 the same element through seed composition, the package's semantics, which
-serves operator composition and the tests as the reference.  A letter is
-checked against the arity and the theory's name alone, so the word and
-relation layers build no rules; `theory_for` builds them for the readers of
-rules: `word_operator`, `positive_steps` and `fill_square`.
+serves operator composition and the tests as the reference.  Every layer
+names a theory by its arity and name: the word and relation layers build no
+rule, and the readers of rules build the rule of each letter they meet, once
+per arity, in `letter_rule`.
 
 The text format is whitespace-separated tokens `a<i>[addr]` / `s<i>[addr]`,
 with capital `A`/`S` for inverses and `addr` a dot-separated child-index
@@ -32,6 +32,7 @@ from .terms import (
     TermError,
     ParseError,
     Var,
+    catalan_signature,
     enumerate_terms,
     format_address,
     format_term,
@@ -46,12 +47,13 @@ from .terms import (
 from .unify import match
 from .operators import (
     Operator,
+    Rule,
     Theory,
     TranslatedRule,
-    catalan_theory,
     eval_word,
+    regroup_rule,
     rewrite_at,
-    symmetric_catalan_theory,
+    swap_rule,
 )
 from .diagrams import (
     TreeDiagram,
@@ -105,11 +107,9 @@ def format_word(word) -> str:
     return " ".join(format_generator(g) for g in word)
 
 
-#: A letter's head and ASCII index digits, as in the rule names `a1`, `s2`.
-_HEAD_INDEX = r"([{heads}])([0-9]+)"
-#: A word's letter: an upper-case head for the inverse, then the address.
-_LETTER = re.compile(_HEAD_INDEX.format(heads="aAsS") + r"\[(.*)\]")
-_RULE_LETTER = re.compile(_HEAD_INDEX.format(heads="as"))
+#: A word's letter: its head, upper-case for the inverse, its ASCII index
+#: digits, then the address.
+_LETTER = re.compile(r"([aAsS])([0-9]+)\[(.*)\]")
 
 
 def _letter(kind: str, index: int, sign: int, address: tuple) -> Generator:
@@ -144,35 +144,42 @@ def parse_word(text: str) -> GeneratorWord:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def letter_rule(kind: str, index: int, n: int) -> Rule:
+    """The rule of the letters `<kind><index>` at arity n, built once and kept."""
+    return (regroup_rule if kind == "a" else swap_rule)(n, index)
+
+
 @lru_cache(maxsize=32)
 def theory_for(name: str, n: int) -> Theory:
-    """The theory named `name` at arity n, built once per (name, n), for
-    the callers that read its rules; letters are checked without it."""
-    return _theory_entry(name, n)[0](n)
+    """The theory named `name` at arity n as a `Theory`, built once per (name,
+    n) from every rule of its letter kinds; no layer of this module reads it."""
+    rules = [letter_rule(kind, i, n) for kind in _theory_entry(name, n)[0] for i in range(1, n)]
+    return Theory(name, catalan_signature(n), tuple(rules), n)
 
 
 def check_letter(g: Generator, n: int, theory_name: str) -> None:
     """Raise TermError unless the letter acts at arity n in the theory named
-    `theory_name`: index in 1..n-1, every address step in 1..n, and twists
-    only in "sc".  A generic theory has no arity (n None): no letter acts."""
-    if n is None:
-        raise TermError(f"theory {theory_name!r} has no arity for letters to act at")
+    `theory_name`: index in 1..n-1, every address step in 1..n, and a kind
+    the theory has.  Every theory regroups, so only a twist reads `THEORIES`."""
     if not 1 <= g.index <= n - 1:
         raise TermError(f"generator index {g.index} out of range for n={n}")
     for step in g.address:
         if not 1 <= step <= n:
             raise TermError(f"generator address {g.address} out of range for n={n}")
-    if g.kind == "s" and theory_name != "sc":
+    if g.kind != "a" and g.kind not in _theory_entry(theory_name, n)[0]:
         raise TermError("twist generators need the symmetric theory")
 
 
-def generator_rule(g: Generator, theory: Theory) -> TranslatedRule:
-    check_letter(g, theory.n, theory.name)
-    return TranslatedRule(theory.rule(f"{g.kind}{g.index}"), g.address, g.sign > 0)
+def generator_rule(g: Generator, n: int, theory_name: str) -> TranslatedRule:
+    """The letter's rule at the letter's address, reversed for an inverse."""
+    check_letter(g, n, theory_name)
+    return TranslatedRule(letter_rule(g.kind, g.index, n), g.address, g.sign > 0)
 
 
-def word_operator(word, theory: Theory) -> Operator:
-    return eval_word([generator_rule(g, theory) for g in word], theory.signature)
+def word_operator(word, n: int, theory_name: str) -> Operator:
+    _theory_entry(theory_name, n)  # first, so an empty word is checked too
+    return eval_word([generator_rule(g, n, theory_name) for g in word], catalan_signature(n))
 
 
 def _act_word(pair: TreePair, word, theory_name: str, sign: int = 1) -> None:
@@ -194,7 +201,7 @@ def eval_diagram(word, n: int, theory_name: str) -> TreeDiagram:
     Each letter acts on a `TreePair` that starts as the identity, rewriting
     one node of its range in place and careting leaves where the letter
     needs nodes.  Freezing the pair at the end reduces it; the result equals
-    `to_diagram(word_operator(word, theory_for(theory_name, n)), n)`.
+    `to_diagram(word_operator(word, n, theory_name), n)`.
     """
     _theory_entry(theory_name, n)  # first, so a bad arity reads as in `words_equal`
     pair = TreePair(identity_diagram(n))
@@ -326,11 +333,11 @@ _FAMILY_BUILDERS = {
     "dual-hexagon": lambda n, base: [dual_hexagon(n, i, base) for i in range(1, n)],
 }
 
-#: Each theory a user can name: how to build it at arity n, and the
-#: relation families it declares, in sweep order.
+#: Each theory a user can name: its letter kinds, in the order their rules
+#: are tried, and the relation families it declares, in sweep order.
 THEORIES = {
-    "c": (catalan_theory, ("pentagon", "adjacent-assoc")),
-    "sc": (symmetric_catalan_theory, tuple(_FAMILY_BUILDERS)),
+    "c": (("a",), ("pentagon", "adjacent-assoc")),
+    "sc": (("a", "s"), tuple(_FAMILY_BUILDERS)),
 }
 
 
@@ -382,28 +389,24 @@ def check_axioms(n: int, theory_name: str, max_addr: int):
 # Positive paths and square filling
 
 
-def positive_steps(t: Term, theory: Theory) -> dict:
+def positive_steps(t: Term, n: int, theory_name: str) -> dict:
     """Each forward letter whose rule source matches at a node of t, mapped
-    to the term that letter rewrites t to; in (address, rule) order, with
-    addresses in pre-order and the theory's rules in their declared order.
-    A rule whose name is not a letter's head and index raises TermError."""
-    letters = []
-    for rule in theory.rules:
-        if (m := _RULE_LETTER.fullmatch(rule.name)) is None:
-            raise TermError(f"rule {rule.name!r} is not named as a letter")
-        letters.append((rule, m[1], parse_digits(m[2], "rule index")))
+    to the term that letter rewrites t to; in (address, letter) order, with
+    addresses in pre-order and at each address the theory's letter kinds in
+    turn, each with indices 1..n-1.  A rule is built only at a node."""
+    kinds = _theory_entry(theory_name, n)[0]
     steps = {}
     for address, node in subterms(t):
         if isinstance(node, App):
-            for rule, kind, index in letters:
-                if (u := rewrite_at(t, rule, address)) is not None:
+            for kind, index in itertools.product(kinds, range(1, n)):
+                if (u := rewrite_at(t, letter_rule(kind, index, n), address)) is not None:
                     steps[Generator(kind, index, 1, address)] = u
     return steps
 
 
-def apply_word_to_term(t: Term, word, theory: Theory) -> Term | None:
+def apply_word_to_term(t: Term, word, n: int, theory_name: str) -> Term | None:
     for g in word:
-        tr = generator_rule(g, theory)
+        tr = generator_rule(g, n, theory_name)
         t = rewrite_at(t, tr.rule, tr.address, tr.forward)
         if t is None:
             return None
@@ -417,7 +420,7 @@ def positive_paths(t: Term, n: int) -> list:
     left comb on t's leaf word, so this enumerates all positive paths from t
     to its normal form.
     """
-    steps = positive_steps(t, theory_for("c", n))
+    steps = positive_steps(t, n, "c")
     if not steps:
         return [()]
     out = []
@@ -435,13 +438,11 @@ def _follow(source: Term, where: dict, path: tuple) -> tuple | None:
     for depth, step in enumerate(path, start=1):
         node = node.children[step - 1]
         if isinstance(node, Var):
-            if (gamma := where[node.name]) is None:
-                raise TermError(f"the rule's target repeats variable {node.name!r}")
-            return gamma + path[depth:]
+            return where[node.name] + path[depth:]
     return None
 
 
-def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
+def fill_square(t: Term, m1: Generator, m2: Generator, n: int, theory_name: str):
     """Close the fork of two distinct positive letters applicable at t.
 
     Returns (w1, w2, family) with m1+w1 and m2+w2 equal positive words: the
@@ -455,9 +456,10 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
     sides are non-empty and start with m1 and m2; with none, TermError."""
     if m1 == m2:
         raise TermError("fill_square needs two distinct letters")
+    families = _theory_entry(theory_name, n)[1]
     rules = {}  # each letter's rule, looked up once
     for m in (m1, m2):
-        node, rules[m] = subterm(t, m.address), generator_rule(m, theory).rule
+        node, rules[m] = subterm(t, m.address), generator_rule(m, n, theory_name).rule
         if m.sign != 1 or node is None or match(rules[m].source, node) is None:
             raise TermError(f"{format_generator(m)} is not a forward step at this term")
 
@@ -466,10 +468,10 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
     else:
         outer, deep = (m1, m2) if len(m1.address) <= len(m2.address) else (m2, m1)
         rule, base = rules[outer], outer.address
-        where = {}  # each variable of the target to its address; None if repeated
+        where = {}  # each variable of the target to its address
         for address, node in subterms(rule.target):
             if isinstance(node, Var):
-                where[node.name] = None if node.name in where else address
+                where[node.name] = address
         rest, i = deep.address[len(base) :], deep.index
         left, right = [_follow(rule.source, where, rest + (j,)) for j in (i, i + 1)]
         if left and right and left[:-1] == right[:-1] and left[-1] + 1 == right[-1]:
@@ -478,8 +480,7 @@ def fill_square(t: Term, theory: Theory, m1: Generator, m2: Generator):
             inst = RelationInstance("naturality", (outer.index, i), base, lhs, rhs)
         else:
             for inst in itertools.chain.from_iterable(
-                _FAMILY_BUILDERS[family](theory.n, base)
-                for family in _theory_entry(theory.name, theory.n)[1]
+                _FAMILY_BUILDERS[family](n, base) for family in families
             ):
                 if inst.lhs and inst.rhs and {inst.lhs[0], inst.rhs[0]} == {m1, m2}:
                     break
@@ -505,23 +506,23 @@ def check_coherence(n: int, max_nodes: int):
     _check_size(n, max_nodes, "max_nodes")
     lines = []
     all_ok = True
-    theory = theory_for("c", n)
+    name, signature = "c", catalan_signature(n)
     for k in range(max_nodes + 1):
         decided = {}  # term -> (ok, paths); every key has the same leaf word
         report = []
         for t in reversed(enumerate_terms(n, k)):
-            steps = positive_steps(t, theory)
+            steps = positive_steps(t, n, name)
             ok, paths = (True, 0) if steps else (t == lmb(underlying_list(t), n), 1)
             for m1, m2 in itertools.combinations(steps, 2):
-                w1, w2, family = fill_square(t, theory, m1, m2)
-                end = apply_word_to_term(steps[m1], w1, theory)
+                w1, w2, family = fill_square(t, m1, m2, n, name)
+                end = apply_word_to_term(steps[m1], w1, n, name)
                 ok = (
                     ok
-                    and family in ("functoriality", "naturality") + THEORIES[theory.name][1]
+                    and family in ("functoriality", "naturality") + THEORIES[name][1]
                     and all(g.kind == "a" and g.sign == 1 for g in w1 + w2)
                     and end is not None
-                    and end == apply_word_to_term(steps[m2], w2, theory)
-                    and words_equal((m1,) + w1, (m2,) + w2, n, theory.name)
+                    and end == apply_word_to_term(steps[m2], w2, n, name)
+                    and words_equal((m1,) + w1, (m2,) + w2, n, name)
                 )
             for u in steps.values():  # an undecided successor fails t
                 passed, count = decided.get(u, (False, 0))
@@ -530,7 +531,7 @@ def check_coherence(n: int, max_nodes: int):
             decided[t] = ok, paths
             all_ok = all_ok and ok
             report.append(
-                f"coherence n={n} term={format_term(t, theory.signature)} "
+                f"coherence n={n} term={format_term(t, signature)} "
                 f"pairs={math.comb(len(steps), 2)} "
                 f"paths={paths} {'PASS' if ok else 'FAIL'}"
             )

@@ -94,10 +94,10 @@ def canonical(seed: Seed) -> Seed:
     Operator equality is syntactic equality of canonical seeds.
     """
     order = variables_in_order(seed.source)
-    extra = [v for v in variables_in_order(seed.target) if v not in order]
+    renaming = {name: Var(f"x{k}") for k, name in enumerate(order, start=1)}
+    extra = [v for v in variables_in_order(seed.target) if v not in renaming]
     if extra:
         raise TermError(f"seed target has variables outside the source: {extra}")
-    renaming = {name: Var(f"x{k}") for k, name in enumerate(order, start=1)}
     return Seed(apply_subst(seed.source, renaming), apply_subst(seed.target, renaming))
 
 

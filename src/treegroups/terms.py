@@ -76,6 +76,18 @@ class App:
                     return False
         return True
 
+    def __hash__(self):
+        # an explicit stack, as in `__eq__`: pre-order tokens, a node's symbol and arity
+        tokens, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, App):
+                tokens.append((t.symbol, len(t.children)))
+                stack.extend(t.children)
+            else:
+                tokens.append(t.name)
+        return hash(tuple(tokens))
+
     def __repr__(self) -> str:
         # a loop calling the method directly: one Python frame per level
         kids = []

@@ -305,10 +305,10 @@ def test_coherence_desk_scale():
         expected = []
         for k in range(5):
             for t in enumerate_terms(n, k):
-                letters_here = positive_steps(t, theory)
+                letters_here = positive_steps(t, n, "c")
                 pairs = 0
                 for m1, m2 in itertools.combinations(letters_here, 2):
-                    w1, w2, family = fill_square(t, theory, m1, m2)
+                    w1, w2, family = fill_square(t, m1, m2, n, "c")
                     squares += 1
                     pairs += 1
                     ok = ok and family in (
@@ -317,15 +317,15 @@ def test_coherence_desk_scale():
                         "pentagon",
                         "adjacent-assoc",
                     )
-                    end1 = apply_word_to_term(t, (m1,) + w1, theory)
-                    end2 = apply_word_to_term(t, (m2,) + w2, theory)
+                    end1 = apply_word_to_term(t, (m1,) + w1, n, "c")
+                    end2 = apply_word_to_term(t, (m2,) + w2, n, "c")
                     ok = ok and end1 is not None and end1 == end2
                     ok = ok and words_equal((m1,) + w1, (m2,) + w2, n, "c")
                 all_paths = positive_paths(t, n)
                 paths_total += len(all_paths)
                 normal = lmb(underlying_list(t), n)
                 endpoints = {
-                    apply_word_to_term(t, path, theory) for path in all_paths
+                    apply_word_to_term(t, path, n, "c") for path in all_paths
                 }
                 images = {eval_diagram(path, n, "c") for path in all_paths}
                 ok = ok and endpoints == {normal} and len(images) == 1

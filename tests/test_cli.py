@@ -14,6 +14,7 @@ import pytest
 import treegroups
 from treegroups import cli, coherence
 from treegroups.cli import run
+from treegroups.operators import regroup_rule
 from treegroups.terms import catalan_signature, enumerate_terms, format_term, parse_term
 
 import cli_reference
@@ -112,6 +113,15 @@ def test_op_compose(capsys):
     source_text, target_text = out.strip().split(" -> ")
     parse_term(source_text, sig)
     parse_term(target_text, sig)
+
+
+def test_op_compose_at_a_large_arity_builds_the_one_rule_it_reads(capsys):
+    coherence.letter_rule.cache_clear()
+    code, out, _ = invoke(capsys, "op", "compose", "--n", "1000", "--theory", "c", "a1[-]")
+    rule, sig = regroup_rule(1000, 1), catalan_signature(1000)
+    expected = f"{format_term(rule.source, sig)} -> {format_term(rule.target, sig)}\n"
+    assert (code, out) == (0, expected)
+    assert coherence.letter_rule.cache_info().currsize == 1
 
 
 def test_word_eval_json(capsys):
@@ -495,8 +505,8 @@ def test_check_coherence_reports_a_fork_that_does_not_close(monkeypatch, capsys)
     elsewhere = parse_term("(x1 (x2 (x3 x4)))", sig)
     real_fill_square = coherence.fill_square
 
-    def wrong_pentagon(t, theory, m1, m2):
-        w1, w2, family = real_fill_square(t, theory, m1, m2)
+    def wrong_pentagon(t, m1, m2, n, theory_name):
+        w1, w2, family = real_fill_square(t, m1, m2, n, theory_name)
         if t == forked and family == "pentagon":
             # drop the last letter of the longer closing word
             w1, w2 = (w1[:-1], w2) if len(w1) > len(w2) else (w1, w2[:-1])

@@ -7,7 +7,6 @@ import pytest
 from treegroups import coherence
 from treegroups.terms import (
     App,
-    Signature,
     TermError,
     ParseError,
     Var,
@@ -17,14 +16,9 @@ from treegroups.terms import (
     lmb,
     parse_term,
     subterm,
+    subterms,
 )
-from treegroups.operators import (
-    Rule,
-    Theory,
-    catalan_theory,
-    regroup_rule,
-    symmetric_catalan_theory,
-)
+from treegroups.operators import catalan_theory, symmetric_catalan_theory
 from treegroups.diagrams import (
     identity_diagram,
     invert_diagram,
@@ -40,7 +34,6 @@ from treegroups.coherence import (
     apply_word_to_term,
     check_axioms,
     check_coherence,
-    check_letter,
     check_moore,
     compatibility,
     dual_hexagon,
@@ -54,6 +47,7 @@ from treegroups.coherence import (
     hexagon,
     invert_word,
     involution,
+    letter_rule,
     parse_word,
     pentagon,
     positive_paths,
@@ -68,8 +62,10 @@ from treegroups.coherence import (
 from treegroups.unify import mgu
 
 import square_reference
+import theory_reference
 from diagram_reference import moore_relation_lines
 from square_reference import naturality_instances
+from test_seed_path import random_word
 
 
 def v(name):
@@ -92,15 +88,13 @@ def test_word_text_round_trip():
 
 
 def test_generator_validation():
-    c2 = catalan_theory(2)
     with pytest.raises(TermError):
-        generator_rule(A(2), c2)
+        generator_rule(A(2), 2, "c")
     with pytest.raises(TermError):
-        generator_rule(S(1), c2)
+        generator_rule(S(1), 2, "c")
     with pytest.raises(TermError):
-        generator_rule(A(1, (3,)), c2)
-    sc3 = symmetric_catalan_theory(3)
-    assert generator_rule(S(2, (1, 3)), sc3).rule.name == "s2"
+        generator_rule(A(1, (3,)), 2, "c")
+    assert generator_rule(S(2, (1, 3)), 3, "sc").rule.name == "s2"
     for args, message in (
         (("b", 1), "unknown generator kind 'b'"),
         (("a", 1, 0), "generator sign must be +1 or -1"),
@@ -224,7 +218,6 @@ def test_eval_diagram_is_fold_of_multiply():
             for addr in itertools.product(range(1, n + 1), repeat=depth)
         ]
         for theory_name, kinds in (("c", "a"), ("sc", "as")):
-            theory = theory_for(theory_name, n)
             pool = [
                 Generator(kind, idx, sign, addr)
                 for kind in kinds
@@ -237,7 +230,7 @@ def test_eval_diagram_is_fold_of_multiply():
                 direct = eval_diagram(word, n, theory_name)
                 folded = identity_diagram(n)
                 for g in word:
-                    folded = multiply(folded, to_diagram(word_operator((g,), theory), n))
+                    folded = multiply(folded, to_diagram(word_operator((g,), n, theory_name), n))
                 assert direct == folded
 
 
@@ -253,7 +246,7 @@ def test_theory_for_is_built_once_per_name_and_arity():
 def test_word_and_relation_layers_build_no_theory():
     # letters are checked against the arity and the theory's name, so the
     # word problem, the axiom suite and Moore's relations build no rules
-    theory_for.cache_clear()
+    letter_rule.cache_clear()
     for n in (2, 3, 4):
         for name in ("c", "sc"):
             word = (A(1), A(n - 1, (n,)), S(1)) if name == "sc" else (A(1), A(n - 1, (n,)))
@@ -261,7 +254,16 @@ def test_word_and_relation_layers_build_no_theory():
             assert eval_diagram(word, n, name).n == n
             assert check_axioms(n, name, 1)[0]
         assert check_moore(n)[0]
-    assert theory_for.cache_info().currsize == 0
+    assert letter_rule.cache_info().currsize == 0
+
+
+def test_rule_readers_build_only_the_rules_of_the_letters_they_meet():
+    letter_rule.cache_clear()
+    word_operator((A(1),), 40, "c")
+    assert letter_rule.cache_info().currsize == 1
+    letter_rule.cache_clear()
+    assert check_coherence(40, 0)[0]  # one term, a variable: no node to rewrite
+    assert letter_rule.cache_info().currsize == 0
 
 
 def test_word_layer_refuses_a_bad_arity_or_name_on_empty_words():
@@ -327,9 +329,8 @@ def test_positive_paths():
     square = cat(cat(v("a"), v("b")), cat(v("c"), v("d")))
     paths = positive_paths(square, 2)
     expected_end = lmb(list("abcd"), 2)
-    theory = catalan_theory(2)
     for path in paths:
-        assert apply_word_to_term(square, path, theory) == expected_end
+        assert apply_word_to_term(square, path, 2, "c") == expected_end
     comb = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
     paths = positive_paths(comb, 2)
     assert len(paths) >= 1
@@ -339,22 +340,21 @@ def test_positive_paths():
 
 def test_fill_square_examples():
     t = cat(cat(v("a"), cat(v("b"), v("c"))), cat(v("d"), cat(v("e"), v("f"))))
-    w1, w2, family = fill_square(t, catalan_theory(2), A(1, (1,)), A(1, (2,)))
+    w1, w2, family = fill_square(t, A(1, (1,)), A(1, (2,)), 2, "c")
     assert family == "functoriality"
     assert w1 == (A(1, (2,)),) and w2 == (A(1, (1,)),)
 
     comb4 = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
-    w1, w2, family = fill_square(comb4, catalan_theory(2), A(1), A(1, (2,)))
+    w1, w2, family = fill_square(comb4, A(1), A(1, (2,)), 2, "c")
     assert family == "pentagon"
     assert (A(1),) + w1 == pentagon(2, 1).rhs
     assert (A(1, (2,)),) + w2 == pentagon(2, 1).lhs
 
     t3 = cat(v("x"), cat(v("y1"), v("y2"), v("y3")), cat(v("z1"), v("z2"), v("z3")))
-    w1, w2, family = fill_square(t3, catalan_theory(3), A(1), A(2))
+    w1, w2, family = fill_square(t3, A(1), A(2), 3, "c")
     assert family == "adjacent-assoc"
-    theory = catalan_theory(3)
-    end1 = apply_word_to_term(t3, (A(1),) + w1, theory)
-    end2 = apply_word_to_term(t3, (A(2),) + w2, theory)
+    end1 = apply_word_to_term(t3, (A(1),) + w1, 3, "c")
+    end2 = apply_word_to_term(t3, (A(2),) + w2, 3, "c")
     assert end1 == end2 is not None
 
 
@@ -365,11 +365,10 @@ def test_fill_square_distant_indices_same_address():
     z = [v(f"z{k}") for k in range(1, 5)]
     t = cat(v("x1"), cat(*y), v("x3"), cat(*z))
     m1, m2 = A(1), A(3)
-    w1, w2, family = fill_square(t, catalan_theory(4), m1, m2)
+    w1, w2, family = fill_square(t, m1, m2, 4, "c")
     assert family == "naturality"
-    theory = catalan_theory(4)
-    end1 = apply_word_to_term(t, (m1,) + w1, theory)
-    end2 = apply_word_to_term(t, (m2,) + w2, theory)
+    end1 = apply_word_to_term(t, (m1,) + w1, 4, "c")
+    end2 = apply_word_to_term(t, (m2,) + w2, 4, "c")
     assert end1 == end2 is not None
     assert words_equal((m1,) + w1, (m2,) + w2, 4, "c")
 
@@ -377,9 +376,9 @@ def test_fill_square_distant_indices_same_address():
 def test_fill_square_errors():
     t = cat(v("a"), cat(v("b"), v("c")))
     with pytest.raises(TermError):
-        fill_square(t, catalan_theory(2), A(1), A(1))
+        fill_square(t, A(1), A(1), 2, "c")
     with pytest.raises(TermError):
-        fill_square(t, catalan_theory(2), A(1), A(1, (1,)))  # a1[1] does not apply here
+        fill_square(t, A(1), A(1, (1,)), 2, "c")  # a1[1] does not apply here
 
 
 def test_fill_square_closes_every_pair():
@@ -396,17 +395,17 @@ def test_fill_square_closes_every_pair():
         seen = set()
         for k in range(max_nodes + 1):
             for t in enumerate_terms(n, k):
-                letters = positive_steps(t, theory)
+                letters = positive_steps(t, n, "c")
                 for m1, m2 in itertools.combinations(letters, 2):
-                    w1, w2, family = fill_square(t, theory, m1, m2)
+                    w1, w2, family = fill_square(t, m1, m2, n, "c")
                     assert family in (
                         "functoriality",
                         "naturality",
                         "pentagon",
                         "adjacent-assoc",
                     )
-                    end1 = apply_word_to_term(t, (m1,) + w1, theory)
-                    end2 = apply_word_to_term(t, (m2,) + w2, theory)
+                    end1 = apply_word_to_term(t, (m1,) + w1, n, "c")
+                    end2 = apply_word_to_term(t, (m2,) + w2, n, "c")
                     assert end1 is not None and end1 == end2
                     assert words_equal((m1,) + w1, (m2,) + w2, n, "c")
                     sides = frozenset(((m1,) + w1, (m2,) + w2))
@@ -439,16 +438,15 @@ def test_fill_square_matches_the_reference_on_every_fork():
     # in either letter order, with the same words and family
     forks = 0
     for n, max_nodes in REFERENCE_SIZES:
-        theory = catalan_theory(n)
         for k in range(max_nodes + 1):
             for t in enumerate_terms(n, k):
-                steps = positive_steps(t, theory)
+                steps = positive_steps(t, n, "c")
                 expected = [A(i, a) for i, a in square_reference.assoc_redexes(t)]
                 assert list(steps) == expected
                 for m1, m2 in itertools.combinations(steps, 2):
                     forks += 1
                     for g, h in ((m1, m2), (m2, m1)):
-                        got = fill_square(t, theory, g, h)
+                        got = fill_square(t, g, h, n, "c")
                         assert got == square_reference.fill_square(t, n, g, h)
     assert forks == 1408
 
@@ -458,24 +456,53 @@ def test_positive_steps_land_later_in_the_enumeration():
     # terms in reverse enumeration order
     count = 0
     for n, max_nodes in REFERENCE_SIZES:
-        theory = catalan_theory(n)
         for k in range(max_nodes + 1):
             terms = enumerate_terms(n, k)
             position = {t: j for j, t in enumerate(terms)}
             for j, t in enumerate(terms):
-                for g, u in positive_steps(t, theory).items():
-                    assert u == apply_word_to_term(t, (g,), theory)
+                for g, u in positive_steps(t, n, "c").items():
+                    assert u == apply_word_to_term(t, (g,), n, "c")
                     assert position[u] > j
                     count += 1
     assert count == 1708
 
 
-def test_positive_steps_refuse_a_rule_not_named_as_a_letter():
-    x, y, z = v("x"), v("y"), v("z")
-    rule = Rule("assoc", App("F", (x, App("F", (y, z)))), App("F", (App("F", (x, y)), z)))
-    theory = Theory("assoc", Signature([("F", 2)]), (rule,))
-    with pytest.raises(TermError, match="rule 'assoc' is not named as a letter"):
-        positive_steps(rule.source, theory)
+def test_rule_readers_match_the_theory_reference():
+    # every letter at every node, in both directions: the readers that build
+    # one rule per letter met against those that read a built theory
+    steps_seen = 0
+    for n in (2, 3, 4, 5):
+        for name in ("c", "sc"):
+            theory = theory_reference.THEORIES[name](n)
+            letters = list(itertools.product("a" if name == "c" else "as", range(1, n), (1, -1)))
+            for k in range(5):
+                for t in enumerate_terms(n, k):
+                    steps = positive_steps(t, n, name)
+                    expected = theory_reference.positive_steps(t, theory)
+                    assert list(steps.items()) == list(expected.items())
+                    steps_seen += len(steps)
+                    for g, u in steps.items():
+                        assert apply_word_to_term(t, (g,), n, name) == u
+                        assert apply_word_to_term(u, (g.inverse(),), n, name) == t
+                    for address, node in subterms(t):
+                        if isinstance(node, App):
+                            for kind, index, sign in letters:
+                                word = (Generator(kind, index, sign, address),)
+                                got = apply_word_to_term(t, word, n, name)
+                                assert got == theory_reference.apply_word_to_term(t, word, theory)
+    assert steps_seen == 10031  # so every reader is compared on steps
+
+
+def test_word_operator_matches_the_theory_reference():
+    rng = random.Random(1963)
+    for n in (2, 3, 4):
+        for name in ("c", "sc"):
+            theory = theory_reference.THEORIES[name](n)
+            for length in (0, 1, 2, 3, 5, 8, 13, 21):
+                for _ in range(3):
+                    word = random_word(rng, n, name, length, max_depth=3)
+                    expected = theory_reference.word_operator(word, theory)
+                    assert word_operator(word, n, name) == expected
 
 
 def test_check_coherence_fails_when_successors_come_first(monkeypatch):
@@ -484,22 +511,21 @@ def test_check_coherence_fails_when_successors_come_first(monkeypatch):
     monkeypatch.setattr(coherence, "enumerate_terms", lambda n, k: real(n, k)[::-1])
     ok, lines = coherence.check_coherence(2, 4)
     assert not ok
-    sig, theory = catalan_signature(2), catalan_theory(2)
+    sig = catalan_signature(2)
     for line in lines:
         t = parse_term(line.split(" term=")[1].split(" pairs=")[0], sig)
-        assert line.endswith(" FAIL") == bool(positive_steps(t, theory))
+        assert line.endswith(" FAIL") == bool(positive_steps(t, 2, "c"))
 
 
 def test_fill_square_refuses_what_is_not_a_forward_step():
     # with `test_fill_square_errors`, which refuses a1[1] on (a (b c))
-    c2 = catalan_theory(2)
     t = cat(v("a"), cat(v("b"), v("c")))
     with pytest.raises(TermError):
-        fill_square(t, c2, A(1), S(1))  # no twists in the regrouping theory
+        fill_square(t, A(1), S(1), 2, "c")  # no twists in the regrouping theory
     nested = cat(v("a"), cat(cat(v("b"), v("c")), v("d")))
-    assert apply_word_to_term(nested, (A(1, (2,), -1),), c2) is not None
+    assert apply_word_to_term(nested, (A(1, (2,), -1),), 2, "c") is not None
     with pytest.raises(TermError):
-        fill_square(nested, c2, A(1), A(1, (2,), -1))  # an inverse letter
+        fill_square(nested, A(1), A(1, (2,), -1), 2, "c")  # an inverse letter
 
 
 def test_fill_square_closes_symmetric_forks_from_the_declared_families():
@@ -508,16 +534,16 @@ def test_fill_square_closes_symmetric_forks_from_the_declared_families():
     # two twists at one node: the instance whose sides start with them is
     # the three-cycle; involution, with an empty side, is skipped
     t = parse_term("(x y z)", sig)
-    w1, w2, family = fill_square(t, sc3, S(1), S(2))
+    w1, w2, family = fill_square(t, S(1), S(2), 3, "sc")
     assert family == "three-cycle"
-    end1 = apply_word_to_term(t, (S(1),) + w1, sc3)
-    end2 = apply_word_to_term(t, (S(2),) + w2, sc3)
+    end1 = apply_word_to_term(t, (S(1),) + w1, 3, "sc")
+    end2 = apply_word_to_term(t, (S(2),) + w2, 3, "sc")
     assert end1 == end2 is not None
     assert words_equal((S(1),) + w1, (S(2),) + w2, 3, "sc")
     # no declared family starts with a regrouping and a twist of the nest
     t = parse_term("(x1 (x2 x3 x4) x5)", sig)
     with pytest.raises(TermError):
-        fill_square(t, sc3, A(1), S(2))
+        fill_square(t, A(1), S(2), 3, "sc")
 
 
 # (n, max nodes) of the symmetric sweep, and what it meets there: forks,
@@ -551,16 +577,16 @@ def test_fill_square_sweeps_the_symmetric_forks():
         seen = {"forks": 0, "refused": 0, "in a variable": 0}
         for k in range(max_nodes + 1):
             for t in enumerate_terms(n, k):
-                for m1, m2 in itertools.combinations(positive_steps(t, theory), 2):
+                for m1, m2 in itertools.combinations(positive_steps(t, n, "sc"), 2):
                     seen["forks"] += 1
                     try:
-                        w1, w2, family = fill_square(t, theory, m1, m2)
+                        w1, w2, family = fill_square(t, m1, m2, n, "sc")
                     except TermError:
                         seen["refused"] += 1
                         continue
                     seen[family] = seen.get(family, 0) + 1
-                    end = apply_word_to_term(t, (m1,) + w1, theory)
-                    assert end is not None and end == apply_word_to_term(t, (m2,) + w2, theory)
+                    end = apply_word_to_term(t, (m1,) + w1, n, "sc")
+                    assert end is not None and end == apply_word_to_term(t, (m2,) + w2, n, "sc")
                     assert words_equal((m1,) + w1, (m2,) + w2, n, "sc")
                     outer, deep = sorted((m1, m2), key=lambda m: len(m.address))
                     rest = deep.address[len(outer.address) :]
@@ -580,17 +606,6 @@ def test_fill_square_sweeps_the_symmetric_forks():
                             )
                         ]
         assert seen == expected, n
-
-
-def test_fill_square_refuses_a_rule_whose_target_repeats_the_variable():
-    # naturality moves the deep letter to the one place its variable lands;
-    # a variable the target repeats has no such place
-    x, y, z = v("x"), v("y"), v("z")
-    rule = Rule("a1", cat(x, cat(y, z)), cat(cat(x, y), cat(z, z)))
-    theory = Theory("c", catalan_signature(2), (rule,), 2)
-    t = cat(v("a"), cat(v("b"), cat(v("c"), v("d"))))
-    with pytest.raises(TermError, match="the rule's target repeats variable 'z'"):
-        fill_square(t, theory, A(1), A(1, (2,)))
 
 
 def test_relation_instances_sweep():
@@ -616,19 +631,6 @@ def test_relation_instances_refuse_an_unknown_theory():
     with pytest.raises(TermError, match="^unknown theory 'C' "):
         check_axioms(2, "C", 0)
     assert list(coherence.THEORIES) == ["c", "sc"]
-
-
-def test_letters_refuse_a_theory_without_an_arity():
-    # a generic theory has n None; letters used to fail on `n - 1`
-    theory = Theory("assoc2", catalan_signature(2), (regroup_rule(2, 1),))
-    message = "theory 'assoc2' has no arity for letters to act at"
-    with pytest.raises(TermError) as caught:
-        check_letter(A(1), theory.n, theory.name)
-    assert str(caught.value) == message
-    t = parse_term("(x1 (x2 (x3 x4)))", theory.signature)
-    with pytest.raises(TermError) as caught:
-        fill_square(t, theory, A(1), A(1, (2,)))
-    assert str(caught.value) == message
 
 
 def test_check_axioms_small():
@@ -687,7 +689,6 @@ def test_check_coherence_small():
 def test_checkers_leave_no_cyclic_garbage():
     # the checkers and the unifier are plain loops with no closure that
     # refers to itself, so what they build is freed by reference count
-    theory = catalan_theory(2)
     word = parse_word("a1[-] a1[2] A1[-]")
     left, right = cat(v("x"), cat(v("y"), v("z"))), cat(cat(v("y"), v("x")), v("w"))
 
@@ -696,7 +697,7 @@ def test_checkers_leave_no_cyclic_garbage():
         assert check_moore(3)[0]
         dual_hexagon_derivation(3, 1)
         assert mgu(left, right) is not None
-        word_operator(word, theory)
+        word_operator(word, 2, "c")
 
     run_checkers()  # fills the theory and shape caches
     enabled = gc.isenabled()
@@ -761,9 +762,8 @@ def test_theory_rule_refuses_a_name_the_theory_lacks():
 
 
 def test_apply_word_to_term_gives_none_where_a_letter_does_not_apply():
-    c2 = catalan_theory(2)
     flat = cat(v("a"), v("b"))
-    assert apply_word_to_term(flat, (A(1),), c2) is None
+    assert apply_word_to_term(flat, (A(1),), 2, "c") is None
     t = cat(v("a"), cat(v("b"), v("c")))
-    assert apply_word_to_term(t, (A(1),), c2) == cat(cat(v("a"), v("b")), v("c"))
-    assert apply_word_to_term(t, (A(1), A(1)), c2) is None  # the second does not apply
+    assert apply_word_to_term(t, (A(1),), 2, "c") == cat(cat(v("a"), v("b")), v("c"))
+    assert apply_word_to_term(t, (A(1), A(1)), 2, "c") is None  # the second does not apply

@@ -27,7 +27,7 @@ from test_seed_path import random_word
 
 
 def assert_same_element(word, n, theory_name):
-    expected = to_diagram(word_operator(word, theory_for(theory_name, n)), n)
+    expected = to_diagram(word_operator(word, n, theory_name), n)
     assert eval_diagram(word, n, theory_name) == expected
 
 
@@ -121,6 +121,6 @@ def test_letters_act_on_a_non_identity_pair():
 def test_bad_letters_are_refused_alike(n, theory_name, text, message):
     word = parse_word(text)
     with pytest.raises(TermError, match=f"^{message}$"):
-        word_operator(word, theory_for(theory_name, n))
+        word_operator(word, n, theory_name)
     with pytest.raises(TermError, match=f"^{message}$"):
         eval_diagram(word, n, theory_name)

@@ -35,7 +35,7 @@ def random_word(rng, n, theory_name, length, max_depth):
 
 def assert_same_evaluation(word, n, theory_name):
     theory = theory_for(theory_name, n)
-    trs = [generator_rule(g, theory) for g in word]
+    trs = [generator_rule(g, n, theory_name) for g in word]
     op = eval_word(trs, theory.signature)
     expected = ref.eval_word(trs, theory.signature)
     assert op == expected

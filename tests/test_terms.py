@@ -570,6 +570,24 @@ def test_equality_of_deep_combs():
     assert App.__eq__(_right_comb(3, "y"), Var("y")) is NotImplemented
 
 
+def test_a_deep_comb_hashes_and_keys_a_dict():
+    # `hash` walks an explicit stack; the dataclass's tuple hash failed on a
+    # right comb from 499 levels
+    keys = {_right_comb(5000, "y"): "y", _right_comb(5000, "z"): "z"}
+    assert keys[_right_comb(5000, "y")] == "y"
+    assert keys[_right_comb(5000, "z")] == "z"
+    assert _right_comb(5000, "w") not in keys
+
+
+def test_equal_terms_built_apart_hash_equal():
+    for n in (2, 3, 4):
+        sig = catalan_signature(n)
+        for k in range(5):
+            for t in enumerate_terms(n, k):
+                u = parse_term(format_term(t, sig), sig)
+                assert u == t and u is not t and hash(u) == hash(t)
+
+
 def test_equality_agrees_with_the_structure():
     # repr spells a term's whole structure, so equal reprs are the
     # dataclass's structural equality; the copies are distinct objects
