@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .terms import (
@@ -31,6 +30,7 @@ from .terms import (
     Term,
     TermError,
     ParseError,
+    Value,
     Var,
     catalan_signature,
     enumerate_terms,
@@ -40,6 +40,7 @@ from .terms import (
     orthogonal,
     parse_address,
     parse_digits,
+    set_field,
     subterm,
     subterms,
     underlying_list,
@@ -64,21 +65,34 @@ from .diagrams import (
 )
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Value):
     """One letter: kind "a" (regroup) or "s" (twist), 1-based index, sign
     +1/-1, and the address it acts at."""
 
-    kind: str
-    index: int
-    sign: int = 1
-    address: tuple = ()
+    _fields = ("kind", "index", "sign", "address")
 
-    def __post_init__(self):
-        if self.kind not in ("a", "s"):
-            raise TermError(f"unknown generator kind {self.kind!r}")
-        if self.sign not in (1, -1):
+    def __init__(self, kind: str, index: int, sign: int = 1, address: tuple = ()):
+        if kind not in ("a", "s"):
+            raise TermError(f"unknown generator kind {kind!r}")
+        if sign not in (1, -1):
             raise TermError("generator sign must be +1 or -1")
+        set_field(self, "kind", kind)
+        set_field(self, "index", index)
+        set_field(self, "sign", sign)
+        set_field(self, "address", address)
+
+    def __eq__(self, other):
+        if other.__class__ is not Generator:
+            return NotImplemented
+        return (
+            self.kind == other.kind
+            and self.index == other.index
+            and self.sign == other.sign
+            and self.address == other.address
+        )
+
+    def __hash__(self):
+        return hash((self.kind, self.index, self.sign, self.address))
 
     def inverse(self) -> "Generator":
         return Generator(self.kind, self.index, -self.sign, self.address)
@@ -114,7 +128,7 @@ _LETTER = re.compile(r"([aAsS])([0-9]+)\[(.*)\]")
 
 def _letter(kind: str, index: int, sign: int, address: tuple) -> Generator:
     """A letter from parts `parse_word` read itself, without the checks of
-    `__post_init__`: `_LETTER` admits only the kinds a/s and signs ±1.  The
+    `__init__`: `_LETTER` admits only the kinds a/s and signs ±1.  The
     public constructor keeps them for every other caller."""
     g = object.__new__(Generator)
     vars(g).update(kind=kind, index=index, sign=sign, address=address)
@@ -225,13 +239,15 @@ def words_equal(w1, w2, n: int, theory_name: str) -> bool:
 # Relation families
 
 
-@dataclass(frozen=True)
-class RelationInstance:
-    family: str
-    indices: tuple
-    base: tuple
-    lhs: GeneratorWord
-    rhs: GeneratorWord
+class RelationInstance(Value):
+    _fields = ("family", "indices", "base", "lhs", "rhs")
+
+    def __init__(self, family: str, indices: tuple, base: tuple, lhs, rhs):
+        set_field(self, "family", family)
+        set_field(self, "indices", indices)
+        set_field(self, "base", base)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
 
 
 def _range_check(value: int, low: int, high: int, what: str) -> None:
@@ -393,12 +409,16 @@ def positive_steps(t: Term, n: int, theory_name: str) -> dict:
     """Each forward letter whose rule source matches at a node of t, mapped
     to the term that letter rewrites t to; in (address, letter) order, with
     addresses in pre-order and at each address the theory's letter kinds in
-    turn, each with indices 1..n-1.  A rule is built only at a node."""
+    turn, each with indices 1..n-1.  A rule is built only at a node, and
+    `a<i>` only where child i+1 is a node, the one place its source matches."""
     kinds = _theory_entry(theory_name, n)[0]
     steps = {}
     for address, node in subterms(t):
         if isinstance(node, App):
+            kids = node.children
             for kind, index in itertools.product(kinds, range(1, n)):
+                if kind == "a" and (index >= len(kids) or not isinstance(kids[index], App)):
+                    continue
                 if (u := rewrite_at(t, letter_rule(kind, index, n), address)) is not None:
                     steps[Generator(kind, index, 1, address)] = u
     return steps

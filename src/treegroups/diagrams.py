@@ -24,11 +24,10 @@ shapes plus the leaf permutation induced by the variable correspondence.
 
 from __future__ import annotations
 
+import builtins
 import itertools
-import json
-from dataclasses import dataclass
 
-from .terms import Term, TermError, Var, is_linear_pair, underlying_list
+from .terms import Term, TermError, Value, Var, is_linear_pair, set_field, underlying_list
 from .operators import EMPTY, Operator
 
 LEAF = ()
@@ -51,30 +50,30 @@ def _checked_leaf_count(tree, n: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class TreeDiagram:
+class TreeDiagram(Value):
     """A tree pair with a leaf bijection; perm is a 1-based index tuple."""
 
-    n: int
-    domain: tuple
-    range: tuple
-    perm: tuple
+    _fields = ("n", "domain", "range", "perm")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n < 2:
-            raise TermError(f"diagram arity must be an integer >= 2, not {self.n!r}")
-        m = _checked_leaf_count(self.domain, self.n)
-        if _checked_leaf_count(self.range, self.n) != m:
+    def __init__(self, n: int, domain: tuple, range: tuple, perm: tuple):
+        if type(n) is not int or n < 2:
+            raise TermError(f"diagram arity must be an integer >= 2, not {n!r}")
+        m = _checked_leaf_count(domain, n)
+        if _checked_leaf_count(range, n) != m:
             raise TermError("domain and range leaf counts differ")
-        if type(self.perm) is not tuple or not all(type(y) is int for y in self.perm):
+        if type(perm) is not tuple or not all(type(y) is int for y in perm):
             raise TermError("perm must be a tuple of integers")
-        if sorted(self.perm) != list(range(1, m + 1)):
+        if sorted(perm) != list(builtins.range(1, m + 1)):
             raise TermError("perm is not a bijection on the leaf indices")
+        set_field(self, "n", n)
+        set_field(self, "domain", domain)
+        set_field(self, "range", range)
+        set_field(self, "perm", perm)
 
 
 def _trusted(n: int, domain, range_, perm) -> TreeDiagram:
     """A diagram from parts this module built itself, without the checks of
-    `__post_init__`; the public constructor and `from_json_dict` keep them."""
+    `__init__`; the public constructor and `from_json_dict` keep them."""
     d = object.__new__(TreeDiagram)
     vars(d).update(n=n, domain=domain, range=range_, perm=perm)
     return d
@@ -367,6 +366,8 @@ def to_json_dict(d: TreeDiagram) -> dict:
 
 
 def to_json(d: TreeDiagram) -> str:
+    import json  # here, so that importing the library does not import json
+
     return json.dumps(to_json_dict(d), separators=(",", ":"))
 
 

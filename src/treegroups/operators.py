@@ -16,45 +16,47 @@ a nested tuple one child position to the left) and its symmetric extension
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .terms import (
     CAT,
     App,
     Signature,
     Term,
     TermError,
+    Value,
     Var,
     apply_subst,
     catalan_signature,
     is_balanced,
     replace,
+    set_field,
     subterm,
     variables_in_order,
 )
 from .unify import match, mgu
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Value):
     """A named, balanced equation oriented as source -> target."""
 
-    name: str
-    source: Term
-    target: Term
+    _fields = ("name", "source", "target")
 
-    def __post_init__(self):
-        if not is_balanced(self.source, self.target):
-            raise TermError(f"rule {self.name!r} is not balanced")
+    def __init__(self, name: str, source: Term, target: Term):
+        if not is_balanced(source, target):
+            raise TermError(f"rule {name!r} is not balanced")
+        set_field(self, "name", name)
+        set_field(self, "source", source)
+        set_field(self, "target", target)
 
 
-@dataclass(frozen=True)
-class TranslatedRule:
+class TranslatedRule(Value):
     """A rule applied at a subterm address, possibly in reverse."""
 
-    rule: Rule
-    address: tuple = ()
-    forward: bool = True
+    _fields = ("rule", "address", "forward")
+
+    def __init__(self, rule: Rule, address: tuple = (), forward: bool = True):
+        set_field(self, "rule", rule)
+        set_field(self, "address", address)
+        set_field(self, "forward", forward)
 
 
 class _Empty:
@@ -74,12 +76,14 @@ class _Empty:
 EMPTY = _Empty()
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(Value):
     """A seed operator: maps instances of source to instances of target."""
 
-    source: Term
-    target: Term
+    _fields = ("source", "target")
+
+    def __init__(self, source: Term, target: Term):
+        set_field(self, "source", source)
+        set_field(self, "target", target)
 
     def __repr__(self) -> str:
         return f"Seed({self.source!r} -> {self.target!r})"
@@ -199,18 +203,20 @@ def eval_word(trs, signature: Signature) -> Operator:
 # Theories
 
 
-@dataclass(frozen=True)
-class Theory:
+class Theory(Value):
     """A named set of balanced rules over one signature.
 
     name is "c" or "sc" for the regrouping theory and its symmetric
     extension; n is their arity, and None for a generic theory.
     """
 
-    name: str
-    signature: Signature
-    rules: tuple
-    n: int | None = None
+    _fields = ("name", "signature", "rules", "n")
+
+    def __init__(self, name: str, signature: Signature, rules: tuple, n: int | None = None):
+        set_field(self, "name", name)
+        set_field(self, "signature", signature)
+        set_field(self, "rules", rules)
+        set_field(self, "n", n)
 
     def rule(self, name: str) -> Rule:
         for rule in self.rules:

@@ -24,8 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 
 class TermError(ValueError):
@@ -40,22 +40,70 @@ class AddressError(TermError):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+#: Sets a field of a `Value` in its `__init__`, past the frozen `__setattr__`.
+set_field = object.__setattr__
+
+
+class Value:
+    """An immutable value with the named `_fields`, each set once by the
+    subclass's `__init__` through `set_field`.  Assigning or deleting an
+    attribute raises AttributeError; `==` holds between instances of one
+    class with equal fields, and equal values hash equal; `repr` reads
+    `Name(field=value, ...)`."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Var(Value):
     """A variable leaf."""
 
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class App:
+class App(Value):
     """An application node: a function symbol over child terms."""
 
-    symbol: str
-    children: tuple
+    _fields = ("symbol", "children")
+
+    def __init__(self, symbol: str, children: tuple):
+        set_field(self, "symbol", symbol)
+        set_field(self, "children", children)
 
     def __eq__(self, other):
         # an explicit stack, so that terms of any depth compare; comparing
@@ -398,12 +446,21 @@ def generalized_catalan(n: int, k: int) -> int:
 
 
 def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    """Every tuple of `parts` non-negative integers that sum to `total`, in
+    lexicographic order, from one loop: each comes from the one before by
+    moving a unit from its rightmost nonzero part past the first one place
+    left, and the rest of that part to the end."""
+    comp = [0] * (parts - 1) + [total]
+    while True:
+        yield tuple(comp)
+        k = parts - 1
+        while k and not comp[k]:
+            k -= 1
+        if not k:
+            return
+        rest, comp[k] = comp[k] - 1, 0
+        comp[k - 1] += 1
+        comp[-1] = rest
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,17 @@ built once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .terms import App, Term, Var, variables_in_order
+from .terms import App, Term, Value, Var, set_field, variables_in_order
 
 
-@dataclass(frozen=True)
-class UnifierPair:
+class UnifierPair(Value):
     """Substitutions (left, right) with t1^left == s2^right."""
 
-    left: dict
-    right: dict
+    _fields = ("left", "right")
+
+    def __init__(self, left: dict, right: dict):
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
 def match(pattern: Term, subject: Term) -> dict | None:

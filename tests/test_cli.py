@@ -103,6 +103,13 @@ def test_trees_count(capsys):
     assert out.strip() == "42 42 OK"
 
 
+def test_trees_and_coherence_at_a_thousand_children(capsys):
+    # the shapes' compositions once recursed once per child and exited 2
+    assert invoke(capsys, "trees", "count", "--n", "1000", "--k", "2") == (0, "1000 1000 OK\n", "")
+    code, out, _ = invoke(capsys, "check", "coherence", "--n", "1000", "--max-nodes", "1")
+    assert (code, out.splitlines()[-1]) == (0, "all-pass")
+
+
 def test_op_compose(capsys):
     code, out, _ = invoke(
         capsys, "op", "compose", "--n", "2", "--theory", "c", "a1[-] a1[-]"

@@ -266,6 +266,17 @@ def test_rule_readers_build_only_the_rules_of_the_letters_they_meet():
     assert letter_rule.cache_info().currsize == 0
 
 
+def test_positive_steps_build_no_rule_of_a_letter_that_cannot_apply():
+    # a flat node has no nested child, so no a<i> applies at it
+    size = letter_rule.cache_info().currsize
+    assert check_coherence(600, 1)[0]
+    assert letter_rule.cache_info().currsize == size
+    t = parse_term("(x1 (x2 x3 x4) x5)", catalan_signature(3))
+    letter_rule.cache_clear()
+    assert list(positive_steps(t, 3, "c")) == [A(1)]
+    assert letter_rule.cache_info().currsize == 1
+
+
 def test_word_layer_refuses_a_bad_arity_or_name_on_empty_words():
     with pytest.raises(TermError) as caught:
         words_equal((), (), 1, "c")

@@ -36,8 +36,10 @@ from treegroups.terms import (
     underlying_list,
     variables_in_order,
 )
+from treegroups.terms import _compositions
 
 import comb_reference
+import compositions_reference
 import format_reference
 import normalize_reference
 import rank_reference
@@ -413,6 +415,21 @@ def test_enumerate_counts():
     assert len(enumerate_terms(2, 0)) == 1 and enumerate_terms(2, 0) == [v("x1")]
     for n, k in [(2, 5), (3, 3), (4, 2), (2, 6), (4, 3)]:
         assert len(enumerate_terms(n, k)) == generalized_catalan(n, k)
+
+
+def test_compositions_match_the_recursive_reference():
+    for parts in range(1, 7):
+        for total in range(7):
+            expected = list(compositions_reference.compositions(total, parts))
+            assert list(_compositions(total, parts)) == expected
+
+
+def test_compositions_of_many_parts_take_no_frame_per_part():
+    # the recursive reference raised RecursionError from about 990 parts
+    assert list(_compositions(0, 5000)) == [(0,) * 5000]
+    ones = list(_compositions(1, 5000))
+    assert len(ones) == 5000 and ones[0][-1] == 1 and ones[-1][0] == 1
+    assert len(enumerate_terms(1000, 1)) == 1
 
 
 def test_enumerate_terms_are_distinct_and_labelled_in_order():
