@@ -213,8 +213,8 @@ def _dispatch(args, second_word) -> int:
         if second_word is None:
             print("word eq needs two words separated by --", file=sys.stderr)
             return 2
-        w1 = parse_word(" ".join(args.w1))
-        w2 = parse_word(second_word)
+        w1 = parse_word(" ".join(args.w1), letters := {})  # one token table
+        w2 = parse_word(second_word, letters)
         equal = words_equal(w1, w2, args.n, args.theory)
         print("equal" if equal else "unequal")
         return 0 if equal else 1

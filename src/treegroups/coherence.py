@@ -5,13 +5,13 @@ nested tuple one child position to the left, `s<i>` transposes two adjacent
 children.  Every relation family below instantiates to a pair of words with
 the same evaluation; `eval_diagram` lets each letter act locally on a tree
 pair and reduces the pair once at the end.  `words_equal` reduces nothing:
-w1 and then the inverse of w2 act on one pair, and the words are equal in
-the group exactly when that pair is trivial.  `word_operator` gives
-the same element through seed composition, the package's semantics, which
-serves operator composition and the tests as the reference.  Every layer
-names a theory by its arity and name: the word and relation layers build no
-rule, and the readers of rules build the rule of each letter they meet, once
-per arity, in `letter_rule`.
+past the words' common prefix and suffix, w1 and then the inverse of w2 act
+on one pair, and the words are equal exactly when that pair is trivial.
+`word_operator` gives the same element through seed composition, the
+package's semantics, which serves operator composition and the tests as the
+reference.  Every layer names a theory by its arity and name: the word and
+relation layers build no rule, and the readers of rules build the rule of
+each letter they meet, once per arity, in `letter_rule`.
 
 The text format is whitespace-separated tokens `a<i>[addr]` / `s<i>[addr]`,
 with capital `A`/`S` for inverses and `addr` a dot-separated child-index
@@ -135,11 +135,11 @@ def _letter(kind: str, index: int, sign: int, address: tuple) -> Generator:
     return g
 
 
-def parse_word(text: str) -> GeneratorWord:
-    """The letters of a word.  Each distinct token is read once: a token
-    seen before in the same text reuses its letter, and only tokens that
-    parsed enter the table, so a bad token raises where it first occurs."""
-    out, letters = [], {}
+def parse_word(text: str, letters: dict | None = None) -> GeneratorWord:
+    """The letters of a word.  Each distinct token is read once through the
+    table `letters`, which words may share; only tokens that parsed enter
+    it, so a bad token raises where it first occurs."""
+    out, letters = [], {} if letters is None else letters
     for token in text.split():
         g = letters.get(token)
         if g is None:
@@ -196,12 +196,8 @@ def word_operator(word, n: int, theory_name: str) -> Operator:
     return eval_word([generator_rule(g, n, theory_name) for g in word], catalan_signature(n))
 
 
-def _act_word(pair: TreePair, word, theory_name: str, sign: int = 1) -> None:
-    """Check every letter of `word` at the pair's arity, then let the word
-    act on `pair`; with sign -1 its inverse acts instead: the letters in
-    reverse, each with its sign flipped (a twist is its own inverse)."""
-    for g in word:
-        check_letter(g, pair.n, theory_name)
+def _act_word(pair: TreePair, word, sign: int = 1) -> None:
+    """Let the checked `word`, or with sign -1 its inverse, act on `pair`."""
     for g in word if sign > 0 else reversed(word):
         if g.kind == "s":
             pair.swap(g.address, g.index)
@@ -218,20 +214,31 @@ def eval_diagram(word, n: int, theory_name: str) -> TreeDiagram:
     `to_diagram(word_operator(word, n, theory_name), n)`.
     """
     _theory_entry(theory_name, n)  # first, so a bad arity reads as in `words_equal`
+    for g in word:
+        check_letter(g, n, theory_name)
     pair = TreePair(identity_diagram(n))
-    _act_word(pair, word, theory_name)
+    _act_word(pair, word)
     return pair.freeze()
 
 
 def words_equal(w1, w2, n: int, theory_name: str) -> bool:
-    """Whether w1 = w2 in the group: w1 and then w2's inverse act on one
-    identity pair.  A pair is the identity exactly when it expands (leaf,
-    leaf, id), and every such expansion is (T, T, id), so no reduction is
-    needed: `TreePair.is_trivial` walks the pair once."""
+    """Whether w1 = w2 in the group.  Every letter of w1, then of w2, is
+    checked; the words then lose their longest common prefix and then suffix
+    (u·x·v = u·y·v exactly when x = y), and w1's middle and the inverse of
+    w2's act on one identity pair, which `TreePair.is_trivial` walks once."""
     _theory_entry(theory_name, n)
+    for g in itertools.chain(w1, w2):
+        check_letter(g, n, theory_name)
+    start, end1, end2 = 0, len(w1), len(w2)
+    while start < end1 and start < end2 and w1[start] == w2[start]:
+        start += 1
+    while end1 > start < end2 and w1[end1 - 1] == w2[end2 - 1]:
+        end1, end2 = end1 - 1, end2 - 1
+    if start == end1 == end2:
+        return True
     pair = TreePair(identity_diagram(n))
-    _act_word(pair, w1, theory_name)
-    _act_word(pair, w2, theory_name, -1)
+    _act_word(pair, w1[start:end1])
+    _act_word(pair, w2[start:end2], -1)
     return pair.is_trivial()
 
 

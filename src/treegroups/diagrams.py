@@ -24,7 +24,6 @@ shapes plus the leaf permutation induced by the variable correspondence.
 
 from __future__ import annotations
 
-import builtins
 import itertools
 
 from .terms import Term, TermError, Value, Var, is_linear_pair, set_field, underlying_list
@@ -50,21 +49,29 @@ def _checked_leaf_count(tree, n: int) -> int:
     return count
 
 
+def _check_arity(n) -> None:
+    if type(n) is not int or n < 2:
+        raise TermError(f"diagram arity must be an integer >= 2, not {n!r}")
+
+
+def _check_perm(m: int, k: int, perm) -> None:
+    """Raise unless the trees' leaf counts m and k agree and perm permutes 1..m."""
+    if k != m:
+        raise TermError("domain and range leaf counts differ")
+    if type(perm) is not tuple or not all(type(y) is int for y in perm):
+        raise TermError("perm must be a tuple of integers")
+    if sorted(perm) != list(range(1, m + 1)):
+        raise TermError("perm is not a bijection on the leaf indices")
+
+
 class TreeDiagram(Value):
     """A tree pair with a leaf bijection; perm is a 1-based index tuple."""
 
     _fields = ("n", "domain", "range", "perm")
 
     def __init__(self, n: int, domain: tuple, range: tuple, perm: tuple):
-        if type(n) is not int or n < 2:
-            raise TermError(f"diagram arity must be an integer >= 2, not {n!r}")
-        m = _checked_leaf_count(domain, n)
-        if _checked_leaf_count(range, n) != m:
-            raise TermError("domain and range leaf counts differ")
-        if type(perm) is not tuple or not all(type(y) is int for y in perm):
-            raise TermError("perm must be a tuple of integers")
-        if sorted(perm) != list(builtins.range(1, m + 1)):
-            raise TermError("perm is not a bijection on the leaf indices")
+        _check_arity(n)
+        _check_perm(_checked_leaf_count(domain, n), _checked_leaf_count(range, n), perm)
         set_field(self, "n", n)
         set_field(self, "domain", domain)
         set_field(self, "range", range)
@@ -72,17 +79,16 @@ class TreeDiagram(Value):
 
 
 def _trusted(n: int, domain, range_, perm) -> TreeDiagram:
-    """A diagram from parts this module built itself, without the checks of
-    `__init__`; the public constructor and `from_json_dict` keep them."""
+    """A diagram from parts this module built or checked itself, without the
+    checks of `__init__`; the public constructor keeps them."""
     d = object.__new__(TreeDiagram)
     vars(d).update(n=n, domain=domain, range=range_, perm=perm)
     return d
 
 
 def identity_diagram(n: int) -> TreeDiagram:
-    """(leaf, leaf, id); a bad `n` is refused by the public constructor."""
-    if type(n) is not int or n < 2:
-        return TreeDiagram(n, LEAF, LEAF, (1,))
+    """(leaf, leaf, id), for an integer n >= 2."""
+    _check_arity(n)
     return _trusted(n, LEAF, LEAF, (1,))
 
 
@@ -343,16 +349,21 @@ def _tree_to_json(tree):
     return out
 
 
-def _tree_from_json(value):
+def _tree_from_json(value, n: int, nodes) -> tuple:
+    """A JSON tree, read, checked for n children per node and its nodes
+    counted by `nodes` in one walk; a leaf child is read in its parent's loop."""
     if value == 0 and type(value) is int:
         return LEAF
     if not isinstance(value, list):
         raise TermError(f"a JSON tree is 0 or a list of trees, not {type(value).__name__}")
     if not value:
         raise TermError("a JSON tree is 0 or a non-empty list of trees, not []")
+    if len(value) != n:
+        raise TermError(f"node with {len(value)} children in an arity-{n} tree")
+    next(nodes)
     out = []
     for kid in value:
-        out.append(_tree_from_json(kid))
+        out.append(LEAF if kid == 0 and type(kid) is int else _tree_from_json(kid, n, nodes))
     return tuple(out)
 
 
@@ -378,11 +389,16 @@ def from_json_dict(data: dict) -> TreeDiagram:
     n, perm = data["n"], data["perm"]
     if type(n) is not int or not isinstance(perm, list):
         raise TermError("a JSON diagram needs an integer n and a list perm")
+    _check_arity(n)
+    nodes, perm = (itertools.count(), itertools.count()), tuple(perm)
     try:
-        domain, range_ = _tree_from_json(data["domain"]), _tree_from_json(data["range"])
+        domain = _tree_from_json(data["domain"], n, nodes[0])
+        range_ = _tree_from_json(data["range"], n, nodes[1])
     except RecursionError:
         raise TermError("a JSON diagram's tree is nested too deeply") from None
-    return TreeDiagram(n, domain, range_, tuple(perm))
+    # a tree whose c nodes each have n children has 1 + (n - 1) c leaves
+    _check_perm(*[1 + (n - 1) * next(count) for count in nodes], perm)
+    return _trusted(n, domain, range_, perm)
 
 
 def _dot_tree(node, me: str, lines: list, leaf_ids: dict) -> None:

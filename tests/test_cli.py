@@ -181,6 +181,27 @@ def test_word_eq_reports_the_first_bad_letter(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_word_eq_checks_the_letters_it_cancels(capsys):
+    # A bad letter in the common prefix or suffix is still refused, with
+    # the message it had when every letter acted, and a bad token or letter
+    # in w1 is still reported before one in w2.
+    for w1, w2, message in (
+        ("s1[-] a1[-]", "s1[-] a1[-]", "twist generators need the symmetric theory"),
+        ("a1[-] s1[-]", "a1[2] s1[-]", "twist generators need the symmetric theory"),
+        ("a2[-] a1[-]", "a2[-] a1[2]", "generator index 2 out of range for n=2"),
+        ("a1[-] a2[-]", "a1[2] a2[-]", "generator index 2 out of range for n=2"),
+        ("a1[3] a1[-]", "a1[3] a1[2]", "generator address (3,) out of range for n=2"),
+        ("a1[-] a1[1.3]", "a1[2] a1[1.3]", "generator address (1, 3) out of range for n=2"),
+        ("a1[-] a5[-]", "s1[-] a1[-]", "generator index 5 out of range for n=2"),
+        ("a1[-] a1[-]", "s1[-] a1[-]", "twist generators need the symmetric theory"),
+        ("a1[x] a1[-]", "b1[-]", "bad address text 'x'"),
+        ("a1[-] zz", "zz a1[-]", "bad generator token 'zz'"),
+        ("a1[-]", "a1[-] zz", "bad generator token 'zz'"),
+    ):
+        code, out, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", w1, "--", w2)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_word_eq_missing_separator(capsys):
     code, _, err = invoke(capsys, "word", "eq", "--n", "2", "--theory", "c", "a1[-]")
     assert code == 2
@@ -359,6 +380,13 @@ def test_long_word_eq_recursion_headroom(capsys):
     assert word_eq(" ".join(["a1[-]"] * 900), " ".join(["A1[-]"] * 900)) == (1, "unequal\n", "")
     word = " ".join(["a1[-]"] * 5000)
     assert word_eq(word, word) == (0, "equal\n", "")
+    # Equal words cancel to nothing; words with no common prefix or suffix
+    # still build a pair 5 000 levels deep and walk it.
+    inverse = " ".join(["A1[-]"] * 5000)
+    assert word_eq(f"{word} {inverse}", "") == (0, "equal\n", "")
+    assert word_eq("", f"{inverse} {word}") == (0, "equal\n", "")
+    assert word_eq(word, inverse) == (1, "unequal\n", "")
+    assert word_eq(f"{word} a1[2]", f"{word} a1[1]") == (1, "unequal\n", "")
 
 
 def test_long_word_compose_recursion_headroom(capsys):

@@ -412,3 +412,38 @@ def test_diagram_validation():
     ):
         with pytest.raises(TermError):
             from_json_dict(data)
+
+
+def test_json_diagram_with_one_fault_names_it():
+    # from_json_dict reads, arity-checks and counts each tree in one walk;
+    # an input with one fault gets the message the public constructor or
+    # the JSON reader gives for that fault.
+    good = {"n": 2, "domain": [[0, 0], 0], "range": [0, [0, 0]], "perm": [3, 1, 2]}
+    deep = 0
+    for _ in range(1500):
+        deep = [deep, 0]
+    for change, message in (
+        ({"n": 2.0}, "a JSON diagram needs an integer n and a list perm"),
+        ({"perm": (3, 1, 2)}, "a JSON diagram needs an integer n and a list perm"),
+        ({"n": 1}, "diagram arity must be an integer >= 2, not 1"),
+        ({"n": -3}, "diagram arity must be an integer >= 2, not -3"),
+        ({"domain": [[5, 0], 0]}, "a JSON tree is 0 or a list of trees, not int"),
+        ({"domain": [[False, 0], 0]}, "a JSON tree is 0 or a list of trees, not bool"),
+        ({"range": [0, [0, 0.0]]}, "a JSON tree is 0 or a list of trees, not float"),
+        ({"domain": [[0, 0], []]}, "a JSON tree is 0 or a non-empty list of trees, not []"),
+        ({"domain": [[0, 0, 0], 0]}, "node with 3 children in an arity-2 tree"),
+        ({"domain": [[0], 0]}, "node with 1 children in an arity-2 tree"),
+        ({"range": [0, [0, 0], 0]}, "node with 3 children in an arity-2 tree"),
+        ({"range": [0, [0, [0, 0]]]}, "domain and range leaf counts differ"),
+        ({"domain": deep, "range": deep, "perm": list(range(1, 1502))},
+         "a JSON diagram's tree is nested too deeply"),
+        ({"perm": [3, 1, 2.0]}, "perm must be a tuple of integers"),
+        ({"perm": [3, True, 2]}, "perm must be a tuple of integers"),
+        ({"perm": [3, 1, 1]}, "perm is not a bijection on the leaf indices"),
+        ({"perm": [4, 1, 2]}, "perm is not a bijection on the leaf indices"),
+    ):
+        with pytest.raises(TermError) as fault:
+            from_json_dict({**good, **change})
+        assert str(fault.value) == message
+    d = from_json_dict(good)
+    assert d == TreeDiagram(2, ((LEAF, LEAF), LEAF), (LEAF, (LEAF, LEAF)), (3, 1, 2))
