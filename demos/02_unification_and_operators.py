@@ -3,15 +3,14 @@
 
 from treegroups.terms import App, Signature, Var, cat, format_term
 from treegroups.unify import is_composable, match, mgu
+from treegroups.coherence import catalan_theory, symmetric_catalan_theory
 from treegroups.operators import (
     EMPTY,
     Rule,
     TranslatedRule,
     apply_operator,
-    catalan_theory,
     compose,
     invert,
-    symmetric_catalan_theory,
     translated_seed,
 )
 

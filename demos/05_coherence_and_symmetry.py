@@ -4,9 +4,9 @@
 # induced transpositions satisfy the symmetric-group relations.
 
 from treegroups.terms import Var, cat, format_term, lmb, underlying_list
-from treegroups.operators import catalan_theory
 from treegroups.coherence import (
     A,
+    catalan_theory,
     check_moore,
     dual_hexagon_derivation,
     eval_diagram,

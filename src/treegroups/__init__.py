@@ -24,15 +24,14 @@ from .operators import (
     Seed,
     Theory,
     TranslatedRule,
-    catalan_theory,
     compose,
     eval_word,
-    symmetric_catalan_theory,
     translated_seed,
 )
 from .diagrams import TreeDiagram, identity_diagram, multiply, to_diagram
 from .coherence import (
     Generator,
+    catalan_theory,
     check_axioms,
     check_coherence,
     check_moore,
@@ -41,54 +40,10 @@ from .coherence import (
     parse_word,
     format_word,
     positive_paths,
+    symmetric_catalan_theory,
     words_equal,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "App",
-    "EMPTY",
-    "Generator",
-    "Rule",
-    "Seed",
-    "Signature",
-    "Theory",
-    "TranslatedRule",
-    "TreeDiagram",
-    "Var",
-    "cat",
-    "catalan_signature",
-    "catalan_theory",
-    "check_axioms",
-    "check_coherence",
-    "check_moore",
-    "coherence",
-    "compose",
-    "diagrams",
-    "enumerate_terms",
-    "eval_diagram",
-    "eval_word",
-    "fill_square",
-    "format_term",
-    "format_word",
-    "generalized_catalan",
-    "identity_diagram",
-    "lmb",
-    "match",
-    "mgu",
-    "multiply",
-    "normalize_to_lmb",
-    "operators",
-    "parse_term",
-    "parse_word",
-    "positive_paths",
-    "rank",
-    "symmetric_catalan_theory",
-    "terms",
-    "to_diagram",
-    "translated_seed",
-    "underlying_list",
-    "unify",
-    "words_equal",
-]
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

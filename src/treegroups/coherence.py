@@ -33,6 +33,7 @@ from .terms import (
     Value,
     Var,
     catalan_signature,
+    check_tuple_arity,
     enumerate_terms,
     format_address,
     format_term,
@@ -162,14 +163,6 @@ def parse_word(text: str, letters: dict | None = None) -> GeneratorWord:
 def letter_rule(kind: str, index: int, n: int) -> Rule:
     """The rule of the letters `<kind><index>` at arity n, built once and kept."""
     return (regroup_rule if kind == "a" else swap_rule)(n, index)
-
-
-@lru_cache(maxsize=32)
-def theory_for(name: str, n: int) -> Theory:
-    """The theory named `name` at arity n as a `Theory`, built once per (name,
-    n) from every rule of its letter kinds; no layer of this module reads it."""
-    rules = [letter_rule(kind, i, n) for kind in _theory_entry(name, n)[0] for i in range(1, n)]
-    return Theory(name, catalan_signature(n), tuple(rules), n)
 
 
 def check_letter(g: Generator, n: int, theory_name: str) -> None:
@@ -369,9 +362,27 @@ def _theory_entry(name: str, n: int) -> tuple:
     if name not in THEORIES:
         expected = " or ".join(map(repr, THEORIES))
         raise TermError(f"unknown theory {name!r} (expected {expected})")
-    if n < 2:
-        raise TermError("tuple symbol arity must be at least 2")
+    check_tuple_arity(n)
     return THEORIES[name]
+
+
+@lru_cache(maxsize=32, typed=True)
+def theory_for(name: str, n: int) -> Theory:
+    """The theory named `name` at arity n, assembled here only, from each letter's
+    `letter_rule`; kept per (name, n) and the type of n, so n = 2.0 is refused."""
+    kinds, signature = _theory_entry(name, n)[0], catalan_signature(n)
+    rules = tuple(letter_rule(kind, i, n) for kind in kinds for i in range(1, n))
+    return Theory(name, signature, rules, n)
+
+
+def catalan_theory(n: int) -> Theory:
+    """The regrouping theory of the n-ary tuple symbol, `theory_for("c", n)`."""
+    return theory_for("c", n)
+
+
+def symmetric_catalan_theory(n: int) -> Theory:
+    """Its symmetric extension by adjacent transpositions, `theory_for("sc", n)`."""
+    return theory_for("sc", n)
 
 
 def relation_instances(n: int, theory_name: str, max_addr: int):

@@ -8,10 +8,10 @@ operators.  Composition goes through pair unification of the first target
 with the second source; a failed unification yields the empty operator,
 which absorbs everything.
 
-The module also builds the two equational theories used throughout the
-package: for an n-ary tuple symbol, the regrouping theory (n-1 rules moving
-a nested tuple one child position to the left) and its symmetric extension
-(adjacent leaf transpositions).
+The module also defines `Theory` and the rules of the two tuple theories'
+letters: for an n-ary tuple symbol, `regroup_rule` moves a nested tuple one
+child position to the left and `swap_rule` transposes two adjacent leaves.
+`coherence.theory_for` assembles the theories themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .terms import (
     Value,
     Var,
     apply_subst,
-    catalan_signature,
     is_balanced,
     replace,
     set_field,
@@ -256,18 +255,6 @@ def swap_rule(n: int, i: int) -> Rule:
     swapped = list(x)
     swapped[i - 1], swapped[i] = swapped[i], swapped[i - 1]
     return Rule(f"s{i}", App(CAT, tuple(x)), App(CAT, tuple(swapped)))
-
-
-def catalan_theory(n: int) -> Theory:
-    sig = catalan_signature(n)
-    rules = tuple(regroup_rule(n, i) for i in range(1, n))
-    return Theory("c", sig, rules, n)
-
-
-def symmetric_catalan_theory(n: int) -> Theory:
-    base = catalan_theory(n)
-    swaps = tuple(swap_rule(n, i) for i in range(1, n))
-    return Theory("sc", base.signature, base.rules + swaps, n)
 
 
 # ---------------------------------------------------------------------------

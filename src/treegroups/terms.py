@@ -200,9 +200,13 @@ class Signature:
         return f"Signature({inner})"
 
 
-def catalan_signature(n: int) -> Signature:
+def check_tuple_arity(n: int) -> None:
     if n < 2:
         raise TermError("tuple symbol arity must be at least 2")
+
+
+def catalan_signature(n: int) -> Signature:
+    check_tuple_arity(n)
     return Signature([(CAT, n)])
 
 
@@ -339,8 +343,7 @@ def lmb(labels, n: int) -> Term:
     """
     labels = list(labels)
     m = len(labels)
-    if n < 2:
-        raise TermError("tuple symbol arity must be at least 2")
+    check_tuple_arity(n)
     if m == 0:
         raise TermError("empty leaf word")
     if (m - 1) % (n - 1) != 0:
@@ -495,8 +498,7 @@ def enumerate_terms(n: int, k: int) -> list:
     the size of every subtree above its node, and at its node it raises the
     size of the first child it changes.
     """
-    if n < 2:
-        raise TermError("tuple symbol arity must be at least 2")
+    check_tuple_arity(n)
     if k < 0:
         raise TermError("k must be nonnegative")
     if k == 0:

@@ -21,10 +21,8 @@ from treegroups.terms import (
 from treegroups.operators import (
     TranslatedRule,
     apply_operator,
-    catalan_theory,
     compose,
     eval_word,
-    symmetric_catalan_theory,
     translated_seed,
 )
 from treegroups.diagrams import (
@@ -38,6 +36,7 @@ from treegroups.diagrams import (
 )
 from treegroups.coherence import (
     apply_word_to_term,
+    catalan_theory,
     check_axioms,
     check_coherence,
     check_moore,
@@ -49,6 +48,7 @@ from treegroups.coherence import (
     pentagon,
     positive_paths,
     positive_steps,
+    symmetric_catalan_theory,
     words_equal,
 )
 

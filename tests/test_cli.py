@@ -1,4 +1,5 @@
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -595,6 +596,35 @@ def test_readme_examples(capsys):
 def test_exports_resolve():
     for name in treegroups.__all__:
         assert getattr(treegroups, name) is not None, name
+    star = {}
+    exec("from treegroups import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == treegroups.__all__
+    # `__all__` is read off the package's names as it is imported; a fresh
+    # interpreter has imported no other submodule, such as `cli`, by then
+    public = subprocess.run(
+        [sys.executable, "-c", "import treegroups; print(*sorted(vars(treegroups)))"],
+        env=dict(os.environ, PYTHONPATH=str(Path(treegroups.__file__).parents[1])),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert treegroups.__all__ == [name for name in public if not name.startswith("_")]
+    assert treegroups.catalan_theory(3) is coherence.theory_for("c", 3)
+    assert treegroups.symmetric_catalan_theory(3) is coherence.theory_for("sc", 3)
+    for name in ("catalan_theory", "symmetric_catalan_theory"):
+        assert not hasattr(treegroups.operators, name), name
+
+
+def test_reader_leaves_a_spec_key_it_does_not_know_to_argparse(capsys, monkeypatch):
+    # a spec with a key the reader does not read ("metavar") is argparse's
+    n = ("--n", {"type": cli._integer, "required": True, "metavar": "N"})
+    monkeypatch.setattr(cli, "_COMMANDS", {"check": ("suites", {"moore": (n,)})})
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser.__wrapped__))
+    argv = ["check", "moore", "--n", "3"]
+    assert cli._read_argv(argv) is None
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err, out.splitlines()[-1]) == (0, "", "all-pass")
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_well_formed_argv_builds_no_parser(capsys):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import random
@@ -18,7 +19,6 @@ from treegroups.terms import (
     subterm,
     subterms,
 )
-from treegroups.operators import catalan_theory, symmetric_catalan_theory
 from treegroups.diagrams import (
     identity_diagram,
     invert_diagram,
@@ -63,6 +63,7 @@ from treegroups.unify import mgu
 
 import square_reference
 import theory_reference
+from theory_reference import catalan_theory, symmetric_catalan_theory
 from diagram_reference import moore_relation_lines
 from square_reference import naturality_instances
 from test_seed_path import random_word
@@ -241,6 +242,40 @@ def test_theory_for_is_built_once_per_name_and_arity():
     for _ in range(2):
         with pytest.raises(TermError):
             theory_for("v", 3)
+
+
+def test_theory_builders_match_the_reference_builders():
+    # `coherence.theory_for` assembles both tuple theories from `letter_rule`;
+    # the reference builds them straight from `regroup_rule` and `swap_rule`
+    for n in range(2, 9):
+        for built, reference in (
+            (coherence.catalan_theory(n), catalan_theory(n)),
+            (coherence.symmetric_catalan_theory(n), symmetric_catalan_theory(n)),
+        ):
+            assert built == reference and hash(built) == hash(reference)
+            assert [r.name for r in built.rules] == [r.name for r in reference.rules]
+
+
+@pytest.mark.parametrize("n, message", [
+    (2.0, "arity of '*' must be a positive integer"),
+    (1, "tuple symbol arity must be at least 2"),
+    (0, "tuple symbol arity must be at least 2"),
+])
+@pytest.mark.parametrize("warm", [False, True])
+def test_theory_builders_refuse_a_bad_arity_with_a_cold_or_warm_cache(n, message, warm):
+    # the reference builders give the message; with a warm cache, 2.0 must
+    # not find the theory cached for 2
+    for name, build, reference in (
+        ("c", coherence.catalan_theory, catalan_theory),
+        ("sc", coherence.symmetric_catalan_theory, symmetric_catalan_theory),
+    ):
+        for call in (build, functools.partial(theory_for, name), reference):
+            theory_for.cache_clear()
+            if warm:
+                theory_for(name, 2)
+            with pytest.raises(TermError) as caught:
+                call(n)
+            assert str(caught.value) == message
 
 
 def test_word_and_relation_layers_build_no_theory():

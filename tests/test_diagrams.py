@@ -9,11 +9,9 @@ from treegroups.operators import (
     EMPTY,
     Seed,
     TranslatedRule,
-    catalan_theory,
-    symmetric_catalan_theory,
     translated_seed,
 )
-from treegroups.coherence import eval_diagram
+from treegroups.coherence import catalan_theory, eval_diagram, symmetric_catalan_theory
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -412,6 +410,13 @@ def test_diagram_validation():
     ):
         with pytest.raises(TermError):
             from_json_dict(data)
+
+
+def test_diagram_refuses_a_tree_node_that_is_not_a_tuple():
+    for domain in ([LEAF, LEAF], (LEAF, [LEAF, LEAF])):
+        with pytest.raises(TermError) as caught:
+            TreeDiagram(2, domain, caret(2), (1, 2))
+        assert str(caught.value) == "tree node of type list, not a tuple"
 
 
 def test_json_diagram_with_one_fault_names_it():

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from treegroups.terms import (
     is_linear_pair,
     underlying_list,
 )
+from treegroups.coherence import catalan_theory, symmetric_catalan_theory
 from treegroups.operators import (
     EMPTY,
     Rule,
@@ -22,7 +25,6 @@ from treegroups.operators import (
     TranslatedRule,
     apply_operator,
     canonical,
-    catalan_theory,
     compose,
     eval_word,
     identity_operator,
@@ -30,7 +32,6 @@ from treegroups.operators import (
     regroup_rule,
     rewrite_at,
     swap_rule,
-    symmetric_catalan_theory,
     translated_seed,
 )
 
@@ -152,6 +153,12 @@ def test_invert():
     idem = Seed(alpha.source, alpha.source)
     assert invert(idem) == idem
     assert invert(EMPTY) is EMPTY
+
+
+def test_empty_is_one_object_that_prints_as_its_name():
+    assert repr(EMPTY) == "EMPTY"
+    assert copy.deepcopy(EMPTY) is EMPTY
+    assert pickle.loads(pickle.dumps(EMPTY)) is EMPTY
 
 
 def test_eval_word_examples():

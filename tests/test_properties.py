@@ -11,7 +11,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from treegroups.coherence import Generator, eval_diagram, invert_word, words_equal
+from treegroups.coherence import (
+    Generator,
+    catalan_theory,
+    eval_diagram,
+    invert_word,
+    symmetric_catalan_theory,
+    words_equal,
+)
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -26,10 +33,8 @@ from treegroups.operators import (
     Rule,
     Theory,
     TranslatedRule,
-    catalan_theory,
     compose,
     eval_word,
-    symmetric_catalan_theory,
 )
 from treegroups.terms import App, Signature, Var
 

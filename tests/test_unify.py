@@ -11,7 +11,7 @@ from treegroups.terms import (
     underlying_list,
 )
 from treegroups.unify import is_composable, match, mgu
-from treegroups.operators import catalan_theory, symmetric_catalan_theory
+from treegroups.coherence import catalan_theory, symmetric_catalan_theory
 
 from subst_reference import match_many
 

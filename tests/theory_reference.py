@@ -1,11 +1,15 @@
-"""Reference rule readers for the tests: the readers driven by a built `Theory`.
+"""Reference theories and rule readers for the tests.
 
-Each reader here takes the whole theory, `catalan_theory(n)` or
-`symmetric_catalan_theory(n)`, looks a letter's rule up by its name, and
-`positive_steps` parses each rule's name back into a letter's kind and
-index.  The library names a theory by its arity and name instead and builds
-only the rules of the letters it meets (`coherence.letter_rule`); the tests
-require the two to agree, positive steps in the same key order.
+`catalan_theory(n)` and `symmetric_catalan_theory(n)` build the two tuple
+theories straight from `regroup_rule` and `swap_rule`; the library
+assembles them in one place, `coherence.theory_for`, from each theory's
+letter kinds, and the tests require equal values, rules in the same order.
+
+Each reader here takes the whole theory, looks a letter's rule up by its
+name, and `positive_steps` parses each rule's name back into a letter's
+kind and index.  The library names a theory by its arity and name instead
+and builds only the rules of the letters it meets (`coherence.letter_rule`);
+the tests require the two to agree, positive steps in the same key order.
 """
 
 import re
@@ -14,12 +18,25 @@ from treegroups.coherence import Generator, check_letter
 from treegroups.operators import (
     Theory,
     TranslatedRule,
-    catalan_theory,
     eval_word,
+    regroup_rule,
     rewrite_at,
-    symmetric_catalan_theory,
+    swap_rule,
 )
-from treegroups.terms import App, Term, TermError, parse_digits, subterms
+from treegroups.terms import App, Term, TermError, catalan_signature, parse_digits, subterms
+
+
+def catalan_theory(n: int) -> Theory:
+    sig = catalan_signature(n)
+    rules = tuple(regroup_rule(n, i) for i in range(1, n))
+    return Theory("c", sig, rules, n)
+
+
+def symmetric_catalan_theory(n: int) -> Theory:
+    base = catalan_theory(n)
+    swaps = tuple(swap_rule(n, i) for i in range(1, n))
+    return Theory("sc", base.signature, base.rules + swaps, n)
+
 
 #: Each theory name's builder.
 THEORIES = {"c": catalan_theory, "sc": symmetric_catalan_theory}
