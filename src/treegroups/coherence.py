@@ -223,9 +223,14 @@ def words_equal(w1, w2, n: int, theory_name: str) -> bool:
     for g in itertools.chain(w1, w2):
         check_letter(g, n, theory_name)
     start, end1, end2 = 0, len(w1), len(w2)
-    while start < end1 and start < end2 and w1[start] == w2[start]:
+    # `is` first: letters read through one token table are mostly one object
+    while start < end1 and start < end2 and (
+        w1[start] is w2[start] or w1[start] == w2[start]
+    ):
         start += 1
-    while end1 > start < end2 and w1[end1 - 1] == w2[end2 - 1]:
+    while end1 > start < end2 and (
+        w1[end1 - 1] is w2[end2 - 1] or w1[end1 - 1] == w2[end2 - 1]
+    ):
         end1, end2 = end1 - 1, end2 - 1
     if start == end1 == end2:
         return True

@@ -10,10 +10,11 @@ diagrams act on a mutable `TreePair`, which gives every domain node an id
 and holds the range as nested lists of leaf ids, by substitution at nodes
 of that range, careting leaves where they need nodes: `multiply` lets the
 second factor act on the first, `coherence.eval_diagram` each letter on
-the identity.  `TreePair.freeze` reads both trees with one walk, `_read`,
-and reduces as it reads the range, collapsing each range node whose leaf
-ids are the children of one domain caret; `reduce` is a `freeze` of the
-diagram's own pair, which keeps the domain tuple when nothing collapses.
+the identity.  `TreePair.freeze` reduces as it reads the range,
+collapsing each range node whose leaf ids are the children of one domain
+caret; it reads the domain again only if a caret was added or collapsed.
+`reduce` scans both trees for exposed carets and returns a reduced diagram
+as it is; only one with a caret to collapse goes through a `TreePair`.
 Every walk is a plain loop in a module function or method, one Python
 frame per internal node: a leaf child is handled in its parent's loop, and
 no walk is a closure or calls itself through `map` or a generator.
@@ -99,11 +100,35 @@ def _inverse(perm) -> tuple:
     return tuple(out)
 
 
+def _exposed(node, first: int, starts: list) -> int:
+    """The leaf count of the internal `node`, whose leaves are numbered from
+    `first`; each caret below it whose children are all leaves (an exposed
+    caret) puts the number of its first leaf in `starts`."""
+    count = 0
+    for kid in node:
+        count += _exposed(kid, first + count, starts) if kid else 1
+    if count == len(node):
+        starts.append(first)
+    return count
+
+
 def reduce(d: TreeDiagram) -> TreeDiagram:
-    """The reduced diagram: `TreePair.freeze` collapses matched carets,
-    bottom-up along the range.  It is unique, so the order does not matter;
-    the tests check it against every order and a partner-address walk."""
-    return TreePair(d).freeze()
+    """The reduced diagram.  `d` is reduced, and returned as it is, when no
+    exposed caret of its domain sends its n leaves, in order, onto those of
+    an exposed caret of its range (Cannon, Floyd and Parry 1996, §2).
+    Otherwise `TreePair.freeze` collapses matched carets, bottom-up along
+    the range; the result is unique, and the tests check it against every
+    order and a partner-address walk."""
+    if d.domain:
+        n, perm, starts, ends = d.n, d.perm, [], []
+        _exposed(d.domain, 0, starts)
+        _exposed(d.range, 1, ends)
+        ends = set(ends)
+        for j in starts:
+            k = perm[j]
+            if k in ends and perm[j : j + n] == tuple(range(k, k + n)):
+                return TreePair(d).freeze()
+    return d
 
 
 def invert_diagram(d: TreeDiagram) -> TreeDiagram:
@@ -138,21 +163,16 @@ def _label(node, split: dict, fresh, leaves) -> int:
     return caret
 
 
-def _read(node, split: dict, head: dict, order: list):
-    """The tuple of a range node (a list) or of a domain id (its children in
-    `split`); any other node is a leaf, its id appended to `order`.  Leaf
-    children are read in the loop, without a call.  A node whose children
-    are all leaves collapses when their ids are, in order, the children of
-    the caret `head` names by its first child: it becomes a leaf with the
-    caret's id, and the caret leaves `split`."""
-    kids = node if type(node) is list else split.get(node)
-    if kids is None:
-        order.append(node)
-        return LEAF
+def _read_range(node: list, split: dict, head: dict, order: list) -> tuple:
+    """The tuple of a range node, its leaf ids appended to `order`.  No leaf
+    is a key of `split`: `_internal` takes each key it adds out of the range.
+    A node whose children are all leaves collapses when their ids are, in
+    order, the children of the caret `head` names by its first child: it
+    becomes a leaf with the caret's id, and the caret leaves `split`."""
     out = []
-    for kid in kids:
-        if type(kid) is list or kid in split:
-            out.append(_read(kid, split, head, order))
+    for kid in node:
+        if type(kid) is list:
+            out.append(_read_range(kid, split, head, order))
         else:
             order.append(kid)
             out.append(LEAF)
@@ -163,6 +183,19 @@ def _read(node, split: dict, head: dict, order: list):
             del split[caret]
             order[-len(out) :] = [caret]
             return LEAF
+    return tuple(out)
+
+
+def _read_domain(caret: int, split: dict, order: list) -> tuple:
+    """The tuple of the domain caret, its children's ids in `split`: an id
+    in `split` is a node, any other a leaf, its id appended to `order`."""
+    out = []
+    for kid in split[caret]:
+        if kid in split:
+            out.append(_read_domain(kid, split, order))
+        else:
+            order.append(kid)
+            out.append(LEAF)
     return tuple(out)
 
 
@@ -268,26 +301,27 @@ class TreePair:
         """The reduced diagram of the pair.  This ends the pair: it deletes
         the carets it collapses from `split`.
 
-        One post-order walk, `_read`, builds each tree and its leaf order.
-        On the range it collapses each node whose leaf ids are the children
-        of one caret in `split`.  Whether a node collapses depends only on
-        what lies below it, so one walk reaches the fixpoint.  If no caret
-        was added since `__init__` and none collapsed, the domain is the
-        diagram's own tuple, its leaves the ids 0..m-1 in order, and the
-        perm is read off `order`.  Otherwise the domain is read off `split`
-        from `root`, with no caret to collapse into, and the perm off the
-        ids.
+        One post-order walk of the range, `_read_range`, builds its tuple
+        and leaf order and collapses each node whose leaf ids are the
+        children of one caret in `split`.  Whether a node collapses depends
+        only on what lies below it, so one walk reaches the fixpoint.  If no
+        caret was added since `__init__` and none collapsed, the domain is
+        the diagram's own tuple, its leaves the ids 0..m-1 in order, and the
+        perm is read off `order`.  Otherwise `_read_domain` reads the domain
+        off `split` from `root`, and the perm comes off the ids.
         """
-        split, order = self.split, []
+        split, order, top = self.split, [], self.range[0]
         head = {kids[0]: caret for caret, kids in split.items()}
-        range_ = _read(self.range[0], split, head, order)
+        range_ = _read_range(top, split, head, order) if type(top) is list else LEAF
+        if not range_:  # a one-leaf pair, or all of it collapsed
+            return _trusted(self.n, LEAF, LEAF, (1,))
         if len(split) == len(head) == self.carets:
             perm = [0] * len(order)
             for k, leaf in enumerate(order, start=1):
                 perm[leaf] = k
             return _trusted(self.n, self.domain, range_, tuple(perm))
         position = {leaf: k for k, leaf in enumerate(order, start=1)}
-        domain = _read(self.root, split, {}, order)
+        domain = _read_domain(self.root, split, order)
         perm = tuple([position[leaf] for leaf in order[len(position):]])
         return _trusted(self.n, domain, range_, perm)
 

@@ -1,12 +1,17 @@
 """Reference reductions for the tests.
 
 `reducible_pairs` lists every collapsible pair of a diagram by leaf index,
-`collapse` collapses one of them, and `all_reduction_endpoints` follows
-every collapse order to its end.  That is exponential, so it serves small
-diagrams only.  `partner_reduce` reaches the reduced diagram in one walk
-over partner range addresses, which scales to large ones.  Both must agree
-with `treegroups.diagrams.reduce`, which collapses on node ids inside
-`TreePair.freeze`'s walk over the range.
+so `is_reduced` holds when it is empty; `collapse` collapses one pair, and
+`all_reduction_endpoints` follows every collapse order to its end.  That is
+exponential, so it serves small diagrams only.  `partner_reduce` reaches
+the reduced diagram in one walk over partner range addresses, which scales
+to large ones.  Both must agree with `treegroups.diagrams.reduce`, which
+returns a diagram its scan for exposed carets finds reduced and otherwise
+collapses on node ids inside `TreePair.freeze`'s walk over the range.
+
+`freeze` is `TreePair.freeze` as it was when one walker, `read`, read both
+trees, testing each child for a list or a key of `split`; the library now
+reads the range and the domain with a walker each.
 """
 
 from treegroups.diagrams import LEAF, TreeDiagram
@@ -44,6 +49,10 @@ def reducible_pairs(d: TreeDiagram) -> list:
         if k in range_carets and all(d.perm[j - 1 + i] == k + i for i in range(1, n)):
             out.append((addr, j, range_carets[k]))
     return out
+
+
+def is_reduced(d: TreeDiagram) -> bool:
+    return not reducible_pairs(d)
 
 
 def collapse(d: TreeDiagram, dom_addr, j: int, range_parent) -> TreeDiagram:
@@ -141,3 +150,50 @@ def partner_reduce(d: TreeDiagram) -> TreeDiagram:
     return TreeDiagram(
         n, domain, _tree_of_leaves(order, n), tuple([rank[a] for a in carried])
     )
+
+
+def read(node, split: dict, head: dict, order: list):
+    """The tuple of a range node (a list) or of a domain id (its children in
+    `split`); any other node is a leaf, its id appended to `order`.  Leaf
+    children are read in the loop, without a call.  A node whose children
+    are all leaves collapses when their ids are, in order, the children of
+    the caret `head` names by its first child: it becomes a leaf with the
+    caret's id, and the caret leaves `split`."""
+    kids = node if type(node) is list else split.get(node)
+    if kids is None:
+        order.append(node)
+        return LEAF
+    out = []
+    for kid in kids:
+        if type(kid) is list or kid in split:
+            out.append(read(kid, split, head, order))
+        else:
+            order.append(kid)
+            out.append(LEAF)
+    if not any(out):
+        last = order[-len(out) :]
+        caret = head.get(last[0])
+        if split.get(caret) == last:
+            del split[caret]
+            order[-len(out) :] = [caret]
+            return LEAF
+    return tuple(out)
+
+
+def freeze(pair) -> TreeDiagram:
+    """The reduced diagram of a `TreePair`, which this ends as
+    `TreePair.freeze` does: `read` walks the range with `head`, and then,
+    unless nothing was careted or collapsed, the domain from `root` with no
+    caret to collapse into."""
+    split, order = pair.split, []
+    head = {kids[0]: caret for caret, kids in split.items()}
+    range_ = read(pair.range[0], split, head, order)
+    if len(split) == len(head) == pair.carets:
+        perm = [0] * len(order)
+        for k, leaf in enumerate(order, start=1):
+            perm[leaf] = k
+        return TreeDiagram(pair.n, pair.domain, range_, tuple(perm))
+    position = {leaf: k for k, leaf in enumerate(order, start=1)}
+    domain = read(pair.root, split, {}, order)
+    perm = tuple([position[leaf] for leaf in order[len(position) :]])
+    return TreeDiagram(pair.n, domain, range_, perm)

@@ -4,8 +4,8 @@
 addresses, `leaf_count` counts them, `expand` carets one leaf,
 `expand_diagram` makes a simple expansion of a diagram, `random_diagram`
 draws a diagram from random carets and a random perm, and
-`random_reduced_diagram` reduces one.  `is_leaf`, `is_reduced` and
-`diagram_power` are small helpers the library itself does not need.
+`random_reduced_diagram` reduces one.  `is_leaf` and `diagram_power` are
+small helpers the library itself does not need.
 `expand_diagram` works by leaf-index arithmetic, not by the `TreePair` that
 `treegroups.diagrams.multiply` acts on, so the tests that feed it unreduced
 factors check the product against a different route.
@@ -28,10 +28,6 @@ from treegroups.terms import TermError
 
 def is_leaf(tree) -> bool:
     return tree == ()
-
-
-def is_reduced(d: TreeDiagram) -> bool:
-    return reduce(d) == d
 
 
 def diagram_power(d: TreeDiagram, exponent: int) -> TreeDiagram:

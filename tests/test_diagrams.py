@@ -1,17 +1,23 @@
 import gc
+import itertools
 import json
 import random
 
 import pytest
 
-from treegroups.terms import TermError, Var, cat
+from treegroups.terms import TermError, Var, cat, enumerate_terms
 from treegroups.operators import (
     EMPTY,
     Seed,
     TranslatedRule,
     translated_seed,
 )
-from treegroups.coherence import catalan_theory, eval_diagram, symmetric_catalan_theory
+from treegroups.coherence import (
+    _act_word,
+    catalan_theory,
+    eval_diagram,
+    symmetric_catalan_theory,
+)
 from treegroups.diagrams import (
     LEAF,
     TreeDiagram,
@@ -29,13 +35,18 @@ from treegroups.diagrams import (
     tree_of_term,
 )
 
-from collapse_reference import all_reduction_endpoints, partner_reduce
+import collapse_reference
+from collapse_reference import (
+    all_reduction_endpoints,
+    is_reduced,
+    partner_reduce,
+    reducible_pairs,
+)
 from diagram_reference import (
     caret,
     diagram_power,
     expand,
     expand_diagram,
-    is_reduced,
     leaf_count,
     leaves,
     random_diagram,
@@ -175,6 +186,61 @@ def test_reduce_matches_the_partner_address_reference():
                 assert partner_reduce(d) == d
 
 
+def _every_diagram(n: int, max_carets: int):
+    for k in range(max_carets + 1):
+        trees = [tree_of_term(t) for t in enumerate_terms(n, k)]
+        for domain, range_ in itertools.product(trees, repeat=2):
+            for perm in itertools.permutations(range(1, k * (n - 1) + 2)):
+                yield TreeDiagram(n, domain, range_, perm)
+
+
+def test_the_exposed_caret_scan_agrees_with_the_pair_and_the_reference():
+    # `reduce` returns its input itself exactly when its scan finds no
+    # exposed domain caret sent in order onto an exposed range caret
+    every = [*_every_diagram(2, 3), *_every_diagram(3, 2)]
+    assert len(every) == 1714
+    verdicts = [not reducible_pairs(d) for d in every]
+    for d, reduced in zip(every, verdicts):
+        assert (reduce(d) is d) == reduced == (TreePair(d).freeze() == d)
+    assert 0 < sum(verdicts) < len(every)
+    rng = random.Random(31)
+    for n in (2, 3, 4):
+        for _ in range(60):
+            d = random_reduced_diagram(n, rng, max_carets=6)
+            assert is_reduced(d) and reduce(d) is d
+            e = d
+            for _ in range(rng.randint(1, 4)):
+                e = expand_diagram(e, rng.randint(1, leaf_count(e.domain)))
+            assert not is_reduced(e) and TreePair(e).freeze() != e
+            assert reduce(e) is not e and reduce(e) == d
+
+
+def _acted_pair(start: TreeDiagram, word, other) -> TreePair:
+    pair = TreePair(start)
+    _act_word(pair, word)
+    if other is not None:
+        pair.act(other)
+    return pair
+
+
+def test_freeze_matches_the_shared_walker_reference():
+    # letters of both theories acting on the identity, a diagram acting on
+    # another, and a diagram's own pair, each built twice
+    rng = random.Random(37)
+    for n in (2, 3, 4):
+        one, cases = identity_diagram(n), []
+        for theory_name in ("c", "sc"):
+            for length in (0, 1, 2, 5, 13, 40):
+                cases.append((one, random_word(rng, n, theory_name, length, 3), None))
+        for _ in range(30):
+            a, b = random_diagram(n, rng), random_diagram(n, rng)
+            cases += [(a, (), b), (a, (), None)]
+        for case in cases:
+            pair, twin = _acted_pair(*case), _acted_pair(*case)
+            assert pair.freeze() == collapse_reference.freeze(twin)
+            assert pair.split == twin.split
+
+
 def test_tree_pair_round_trip():
     rng = random.Random(5)
     for n in (2, 3):
@@ -196,8 +262,9 @@ def test_tree_pair_round_trip():
 
 
 def test_freeze_keeps_an_untouched_domain():
-    # a reduced diagram's inverse swaps its trees: freeze carets nothing and
-    # collapses nothing, so it returns the input's own domain tuple
+    # a reduced diagram's inverse swaps its trees: `reduce` finds nothing to
+    # collapse and returns it, and freeze, which carets nothing and collapses
+    # nothing, returns the input's own domain tuple too
     rng = random.Random(29)
     for _ in range(1000):
         d = random_reduced_diagram(rng.choice((2, 3, 4)), rng, max_carets=5)
@@ -207,6 +274,7 @@ def test_freeze_keeps_an_untouched_domain():
         inverse = invert_diagram(d)
         assert inverse == TreeDiagram(d.n, d.range, d.domain, tuple(inverse_perm))
         assert inverse.domain is d.range
+        assert TreePair(inverse).freeze().domain is d.range
         assert invert_diagram(inverse) == d
 
 
